@@ -8,16 +8,12 @@
 //   ./bench_serving [--scenario=tiny|small|default|large] [--seed=N]
 //                   [--batch=256] [--threads=0] [--shards=4]
 //                   [--out=BENCH_serving.json]
-//                   [--no-flat] [--no-durable] [--no-sharded]
-//                   [--no-multiproc] [--quantized]
+//                   [--no-durable] [--no-sharded] [--no-multiproc]
 //                   [--simd=auto|scalar|neon|avx2]
 //
-// --no-flat serves from the node-pointer trees instead of the compiled
-// flat-forest path; running both and diffing records_per_sec measures the
-// serving-side speedup of compiled inference (scores are identical).
-// --quantized serves from the uint8-quantized ensemble, and --simd pins
-// the flat kernel tier (degrading to what the CPU supports) — together
-// they A/B every inference configuration the registry can activate.
+// --simd pins the flat-forest kernel tier (degrading to what the CPU
+// supports), so running once per tier A/Bs the only inference choice the
+// registry leaves open (scores are identical).
 //
 // Unless --no-durable is given, a second replay pass runs with the
 // checksummed WAL + checkpoints enabled (docs/DURABILITY.md), reporting
@@ -85,11 +81,9 @@ int main(int argc, char** argv) {
   std::size_t max_batch = 256;
   std::size_t threads = 0;
   std::size_t shards = 4;
-  bool flat = true;
   bool durable = true;
   bool sharded = true;
   bool multiproc = true;
-  bool quantized = false;
   std::string out_path = "BENCH_serving.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -104,11 +98,9 @@ int main(int argc, char** argv) {
     if (starts_with(arg, "--seed="))
       parse_uint_flag("--seed", arg.substr(7), 0);
     if (starts_with(arg, "--out=")) out_path = arg.substr(6);
-    if (arg == "--no-flat") flat = false;
     if (arg == "--no-durable") durable = false;
     if (arg == "--no-sharded") sharded = false;
     if (arg == "--no-multiproc") multiproc = false;
-    if (arg == "--quantized") quantized = true;
     if (starts_with(arg, "--simd=")) {
       std::optional<ml::SimdLevel> level;
       if (!ml::parse_simd_level(arg.substr(7), level)) {
@@ -129,7 +121,7 @@ int main(int argc, char** argv) {
       (std::filesystem::temp_directory_path() / "mfpa-bench-registry")
           .string();
   std::filesystem::remove_all(registry_dir);
-  serve::ModelRegistry registry(registry_dir, threads, flat, quantized);
+  serve::ModelRegistry registry(registry_dir, threads);
   core::MfpaConfig config;
   config.seed = args.seed;
   const int version = serve::train_and_publish(registry, config,
@@ -259,8 +251,6 @@ int main(int argc, char** argv) {
           : static_cast<double>(report.engine.records_processed) /
                 static_cast<double>(report.engine.batches);
   TablePrinter table({"metric", "value"});
-  table.add_row({"flat inference", flat ? "on" : "off"});
-  table.add_row({"quantized inference", quantized ? "on" : "off"});
   table.add_row({"records", std::to_string(report.engine.submitted)});
   table.add_row({"wall seconds", format_double(report.wall_seconds, 3)});
   table.add_row({"records/sec",
@@ -310,9 +300,6 @@ int main(int argc, char** argv) {
        << "  \"scenario\": \"" << args.scenario << "\",\n"
        << "  \"seed\": " << args.seed << ",\n"
        << "  \"algorithm\": \"RF\",\n"
-       << "  \"flat_inference\": " << (flat ? "true" : "false") << ",\n"
-       << "  \"quantized_inference\": " << (quantized ? "true" : "false")
-       << ",\n"
        << "  \"simd\": \"" << ml::to_string(ml::active_simd_level()) << "\",\n"
        << "  \"max_batch\": " << max_batch << ",\n"
        << "  \"records\": " << report.engine.submitted << ",\n"

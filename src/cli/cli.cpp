@@ -281,8 +281,7 @@ std::vector<std::string> forwarded_child_flags(const CommandLine& cmd) {
       "batch",             "threads",   "wal-group-commit",
       "checkpoint-interval", "simd",
   };
-  static const char* kBoolFlags[] = {"shed", "no-flat", "quantized", "strict",
-                                     "lenient"};
+  static const char* kBoolFlags[] = {"shed", "strict", "lenient"};
   std::vector<std::string> args;
   for (const char* flag : kValueFlags) {
     if (cmd.has(flag)) args.push_back("--" + std::string(flag) + "=" +
@@ -500,13 +499,7 @@ int cmd_serve_replay(const CommandLine& cmd, std::ostream& out) {
   const auto threads =
       static_cast<std::size_t>(cmd.get_number("threads", 0));
   out << "simd kernel: " << ml::to_string(ml::active_simd_level()) << "\n";
-  // --no-flat serves from the node-pointer trees instead of the compiled
-  // flat-forest representation (probabilities are identical either way;
-  // the flag exists for perf A/B runs and debugging). --quantized layers
-  // the uint8 representation on top (also identical probabilities; see
-  // ml/quantized_forest.hpp).
-  serve::ModelRegistry registry(registry_dir, threads, !cmd.has("no-flat"),
-                                cmd.has("quantized"));
+  serve::ModelRegistry registry(registry_dir, threads);
 
   auto train_config = config_from(cmd);
   int version = registry.current_version();
@@ -632,8 +625,7 @@ int cmd_shard_serve(const CommandLine& cmd, std::ostream& out) {
   // A shard process never trains: it serves whatever the registry already
   // holds, so every shard of the topology scores under the same published
   // version (the parent trains once, before spawning).
-  serve::ModelRegistry registry(cmd.require("registry"), threads,
-                                !cmd.has("no-flat"), cmd.has("quantized"));
+  serve::ModelRegistry registry(cmd.require("registry"), threads);
   const int version = registry.current_version();
   if (version <= 0) {
     throw std::runtime_error("shard-serve: no published model in " +
@@ -968,8 +960,7 @@ int cmd_fleet_replay(const CommandLine& cmd, std::ostream& out) {
   const bool reuse_registry = cmd.has("reuse-registry");
   if (!reuse_registry) std::filesystem::remove_all(registry_dir);
   out << "simd kernel: " << ml::to_string(ml::active_simd_level()) << "\n";
-  serve::ModelRegistry registry(registry_dir, threads, !cmd.has("no-flat"),
-                                cmd.has("quantized"));
+  serve::ModelRegistry registry(registry_dir, threads);
 
   // The model trains offline on a down-scaled twin of the scenario (same
   // seed, same catalog, same drift) — training on the full fleet's
@@ -1171,8 +1162,7 @@ std::string usage() {
       "            --seed=N --scale=X] [--algorithm=RF] [--group=G]\n"
       "            [--threads=N] [--batch=256] [--queue-capacity=4096]\n"
       "            [--shed] [--registry=DIR] [--alert-consecutive=1]\n"
-      "            [--cooldown=0] [--no-flat] [--quantized]\n"
-      "            [--simd=auto|scalar|neon|avx2]\n"
+      "            [--cooldown=0] [--simd=auto|scalar|neon|avx2]\n"
       "            [--durable-dir=DIR] [--wal-group-commit=256]\n"
       "            [--checkpoint-interval=4096] [--reuse-registry]\n"
       "            [--alerts-out=FILE] [--kill-after=N] [--shards=N]\n"
@@ -1183,9 +1173,8 @@ std::string usage() {
       "            --durable-dir each shard logs to DIR/shard-NNN and a\n"
       "            resume must reuse the same --shards; see\n"
       "            docs/SERVING.md)\n"
-      "            (--no-flat disables compiled flat-forest inference;\n"
-      "            --quantized serves from the uint8-quantized ensemble;\n"
-      "            --simd pins the inference kernel tier, degrading to the\n"
+      "            (models always serve from the compiled flat forest;\n"
+      "            --simd pins its kernel tier, degrading to the\n"
       "            strongest the CPU supports and printing what resolved;\n"
       "            scores are identical, see docs/PERFORMANCE.md)\n"
       "            --durable-dir enables the checksummed WAL + checkpoints\n"
@@ -1200,7 +1189,7 @@ std::string usage() {
       "            [--registry=DIR] [--reuse-registry] [--alerts-out=FILE]\n"
       "            [--kill-after=N] [--alert-consecutive=1] [--cooldown=0]\n"
       "            [--batch=256] [--queue-capacity=4096] [--shed]\n"
-      "            [--no-flat] [--quantized] [--simd=LEVEL]\n"
+      "            [--simd=LEVEL]\n"
       "            [--processes=N] [--via-router] [--proc-dir=DIR]\n"
       "            [--kill-shard-after=N] [--kill-shard=K]\n"
       "            stream a (full-scale) fleet scenario through the sharded\n"

@@ -7,6 +7,10 @@
 // independent load chains in flight. The operation sequence per row is
 // identical to the scalar kernel — same ordered <= predicate (NaN right),
 // same tree-order separate multiply/add — so results stay bit-identical.
+//
+// Unverified: no CI leg or test host runs aarch64, so this kernel has never
+// executed under the parity suites (on x86 a neon request degrades to
+// scalar). It is kept because it is the only vector path on aarch64.
 #include "ml/flat_forest_kernels.hpp"
 
 #if defined(__aarch64__) && !defined(MFPA_FORCE_SCALAR)

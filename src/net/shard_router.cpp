@@ -101,6 +101,8 @@ std::vector<core::Alert> ShardRouter::alerts() const {
 RouterStats ShardRouter::stats() const {
   RouterStats out;
   out.shards.reserve(engines_.size());
+  // Each shard's snapshot satisfies accepted + shed <= submitted on its own
+  // (see ScoringEngine::stats), so the per-shard sums do too.
   for (const auto& engine : engines_) {
     serve::EngineStats s = engine->stats();
     out.records_processed += s.records_processed;

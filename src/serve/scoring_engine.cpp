@@ -105,6 +105,9 @@ ScoringEngine::~ScoringEngine() {
 
 bool ScoringEngine::submit(const TelemetryUpdate& update) {
   metrics_.submitted->inc();
+  // Pairs with the acquire fence in stats(): a snapshot that observes this
+  // call's accepted or shed increment also observes its submitted one.
+  std::atomic_thread_fence(std::memory_order_release);
   std::unique_lock<std::mutex> lock(queue_mu_);
   if (config_.shed_on_full && queue_.size() >= config_.queue_capacity) {
     lock.unlock();
@@ -330,12 +333,17 @@ std::vector<ScoredRow> ScoringEngine::take_scored_rows() {
 
 EngineStats ScoringEngine::stats() const {
   EngineStats out;
-  out.submitted = metrics_.submitted->value();
-  out.accepted = metrics_.accepted->value();
-  out.shed = metrics_.shed->value();
-  out.rejected = metrics_.rejected->value();
-  out.unscored_no_model = metrics_.unscored_no_model->value();
+  // Downstream counters first, submitted last, with an acquire fence in
+  // between (paired with the release fence in submit()): every accepted or
+  // shed increment read here has its submitted increment visible below, so
+  // accepted + shed <= submitted holds for a snapshot taken mid-traffic.
   out.records_processed = metrics_.records_processed->value();
+  out.rejected = metrics_.rejected->value();
+  out.shed = metrics_.shed->value();
+  out.accepted = metrics_.accepted->value();
+  std::atomic_thread_fence(std::memory_order_acquire);
+  out.submitted = metrics_.submitted->value();
+  out.unscored_no_model = metrics_.unscored_no_model->value();
   out.rows_scored = metrics_.rows_scored->value();
   out.synthetic_rows = metrics_.synthetic_rows->value();
   out.batches = metrics_.batches->value();

@@ -231,15 +231,21 @@ TEST(Usage, DocumentsObservabilityFlags) {
   EXPECT_NE(text.find("--metrics-out"), std::string::npos);
 }
 
+// Compiled inference is unconditional: the usage says models always serve
+// from the compiled flat forest, and the old --no-flat opt-out is gone.
 TEST(Usage, DocumentsCompiledInferenceFlag) {
   const std::string text = usage();
-  EXPECT_NE(text.find("--no-flat"), std::string::npos);
+  EXPECT_NE(text.find("always serve from the compiled flat forest"),
+            std::string::npos);
+  EXPECT_EQ(text.find("--no-flat"), std::string::npos);
 }
 
+// --simd is the only inference flag left; the quantized tier and its
+// --quantized flag are gone and must not be documented.
 TEST(Usage, DocumentsQuantizedAndSimdFlags) {
   const std::string text = usage();
-  EXPECT_NE(text.find("--quantized"), std::string::npos);
   EXPECT_NE(text.find("--simd=auto|scalar|neon|avx2"), std::string::npos);
+  EXPECT_EQ(text.find("--quantized"), std::string::npos);
 }
 
 TEST(ServeReplayCommand, RejectsBadSimdValue) {

@@ -99,19 +99,16 @@ class ServingParityTest : public ::testing::Test {
     return p;
   }
 
-  std::vector<core::Alert> serve_alerts(std::size_t threads,
-                                        bool compile = true,
-                                        bool quantize = false) {
+  std::vector<core::Alert> serve_alerts(std::size_t threads) {
     // Keyed by test name as well as thread count: ctest runs discovered
     // tests as parallel processes, and both tests publish at threads=1.
     const fs::path dir =
         fs::path(::testing::TempDir()) /
         (std::string("mfpa_parity_registry_") +
          ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-         "_t" + std::to_string(threads) + (compile ? "_flat" : "_ptr") +
-         (quantize ? "_q" : ""));
+         "_t" + std::to_string(threads));
     fs::remove_all(dir);
-    serve::ModelRegistry registry(dir.string(), threads, compile, quantize);
+    serve::ModelRegistry registry(dir.string(), threads);
     registry.publish_pipeline(*pipeline_, 0, 100);
     serve::EngineConfig config;
     config.alert_policy = policy();
@@ -149,8 +146,8 @@ TEST_F(ServingParityTest, EngineAlertsMatchBatchReplay) {
   }
 }
 
-// The registry compiles models into the flat-forest format by default, so
-// this invariance run exercises compiled inference at every thread count.
+// The registry always compiles models into the flat-forest format, so this
+// invariance run exercises compiled inference at every thread count.
 TEST_F(ServingParityTest, AlertsIdenticalAcrossThreadCounts) {
   const auto t1 = sorted_keys(serve_alerts(1));
   const auto t4 = sorted_keys(serve_alerts(4));
@@ -158,38 +155,6 @@ TEST_F(ServingParityTest, AlertsIdenticalAcrossThreadCounts) {
   ASSERT_GT(t1.size(), 0u);
   EXPECT_TRUE(t1 == t4);
   EXPECT_TRUE(t1 == t_hw);
-}
-
-// Flat-vs-pointer serving parity: disabling compilation must change
-// nothing — same alerts, same days, bit-identical scores (AlertKey
-// equality compares the score doubles exactly).
-TEST_F(ServingParityTest, CompiledAndPointerEnginesIdentical) {
-  const auto compiled = sorted_keys(serve_alerts(1, true));
-  const auto pointer = sorted_keys(serve_alerts(1, false));
-  ASSERT_GT(compiled.size(), 0u);
-  EXPECT_TRUE(compiled == pointer);
-  const auto compiled_mt = sorted_keys(serve_alerts(4, true));
-  const auto pointer_mt = sorted_keys(serve_alerts(4, false));
-  EXPECT_TRUE(compiled_mt == pointer_mt);
-  EXPECT_TRUE(compiled == compiled_mt);
-}
-
-// Quantized serving parity: with --quantized activation the registry scores
-// through the uint8-code QuantizedForest. The pipeline's forest is
-// hist-trained, so compile() from its own thresholds is exact and the alert
-// stream must equal the compiled (and pointer) engines' bit-for-bit —
-// same drives, same days, same score doubles — at every thread count.
-TEST_F(ServingParityTest, QuantizedEngineAlertStreamEquivalent) {
-  const auto compiled = sorted_keys(serve_alerts(1, true, false));
-  const auto quantized = sorted_keys(serve_alerts(1, true, true));
-  ASSERT_GT(compiled.size(), 0u);
-  EXPECT_TRUE(compiled == quantized);
-  const auto quantized_mt = sorted_keys(serve_alerts(4, true, true));
-  EXPECT_TRUE(compiled == quantized_mt);
-  // Quantize-only activation (no flat compile) routes through the same
-  // QuantizedForest and must be indistinguishable too.
-  const auto quant_only = sorted_keys(serve_alerts(1, false, true));
-  EXPECT_TRUE(compiled == quant_only);
 }
 
 }  // namespace

@@ -8,8 +8,8 @@
 
 #include "core/mfpa.hpp"
 #include "core/preprocess.hpp"
+#include "ml/factory.hpp"
 #include "ml/flat_forest.hpp"
-#include "ml/quantized_forest.hpp"
 #include "sim/fleet.hpp"
 
 namespace mfpa::serve {
@@ -140,25 +140,51 @@ TEST_F(ModelRegistryTest, PublishIsAnRcuSwap) {
             pipeline_->model().predict_proba(X));
 }
 
-// quantize_models activation: loading a version compiles the uint8-code
-// QuantizedForest form, and — because compile() quantizes against the
-// ensemble's own thresholds — scoring through it stays bit-identical to
-// the pipeline's float model.
-TEST_F(ModelRegistryTest, QuantizeModelsActivatesQuantizedForm) {
-  ModelRegistry registry(dir_.string(), 1, /*compile_models=*/false,
-                         /*quantize_models=*/true);
-  registry.publish_pipeline(*pipeline_, 0, 100);
-  const auto model = registry.current();
-  ASSERT_NE(model, nullptr);
-  const auto* compiled =
-      dynamic_cast<const ml::CompiledInference*>(model->classifier.get());
-  ASSERT_NE(compiled, nullptr);
-  ASSERT_NE(compiled->quantized(), nullptr);
-  EXPECT_TRUE(compiled->quantized()->exact());
+// Compiled flat-forest scoring is the only serving path, so every way a
+// version becomes current — publish, reopen from CURRENT, rollback
+// activate — must hand the engine a compiled ensemble, for both tree
+// ensembles, and scoring through it must match the uncompiled model.
+TEST_F(ModelRegistryTest, ActivationAlwaysCompilesTreeEnsembles) {
   const auto X = probe_rows();
-  ASSERT_GT(X.rows(), 0u);
-  EXPECT_EQ(model->classifier->predict_proba(X),
-            pipeline_->model().predict_proba(X));
+  ASSERT_GT(X.rows(), 1u);
+  std::vector<int> y(X.rows());
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = i % 3 == 0 ? 1 : 0;
+  const auto gbdt =
+      ml::make_classifier("GBDT", {{"n_rounds", 5.0}, {"seed", 1.0}});
+  gbdt->fit(X, y);
+
+  const auto compiled = [](const ModelRegistry& registry) {
+    const auto model = registry.current();
+    if (model == nullptr) return false;
+    const auto* inference =
+        dynamic_cast<const ml::CompiledInference*>(model->classifier.get());
+    return inference != nullptr && inference->flat() != nullptr;
+  };
+  const std::pair<const char*, const ml::Classifier*> models[] = {
+      {"RF", &pipeline_->model()}, {"GBDT", gbdt.get()}};
+  for (const auto& [name, model] : models) {
+    SCOPED_TRACE(name);
+    const fs::path dir = dir_ / name;
+    const auto publish = [&](ModelRegistry& registry, DayIndex train_hi) {
+      registry.publish(*model, pipeline_->firmware_encoder(),
+                       pipeline_->config().group, 0.5, 0, train_hi);
+    };
+    {
+      ModelRegistry registry(dir.string());
+      publish(registry, 100);
+      EXPECT_TRUE(compiled(registry)) << "after publish";
+      publish(registry, 130);
+      registry.activate(1);
+      EXPECT_EQ(registry.current_version(), 1);
+      EXPECT_TRUE(compiled(registry)) << "after rollback activate";
+    }
+    ModelRegistry reopened(dir.string());
+    ASSERT_EQ(reopened.current_version(), 1);
+    EXPECT_EQ(reopened.current()->manifest.algorithm, name);
+    EXPECT_TRUE(compiled(reopened)) << "after reopen from CURRENT";
+    EXPECT_EQ(reopened.current()->classifier->predict_proba(X),
+              model->predict_proba(X));
+  }
 }
 
 TEST_F(ModelRegistryTest, MissingVersionThrows) {
