@@ -1,8 +1,6 @@
 #include "common/robustness.hpp"
 
-#include <istream>
 #include <ostream>
-#include <stdexcept>
 
 #include "common/table_printer.hpp"
 
@@ -65,48 +63,31 @@ std::string IngestStats::summary() const {
   return out;
 }
 
-void IngestStats::save(std::ostream& os) const {
-  os << "ingest_stats 1 " << rows_read << ' ' << rows_repaired << ' '
-     << rows_dropped << ' ' << short_rows << ' ' << bad_cells << ' '
-     << firmware_repairs << ' ' << duplicate_days << ' ' << clock_rollbacks
-     << ' ' << counter_resets_rebased << ' ' << values_repaired << ' '
-     << duplicate_drives << ' ' << drives_quarantined << ' ' << tickets_dropped
-     << '\n';
-  os << "diagnostics " << diagnostics.size() << '\n';
-  for (const auto& d : diagnostics) {
-    os << d.size() << ' ' << d << '\n';
+void IngestStats::encode(std::string& buf) const {
+  for (const std::size_t v :
+       {rows_read, rows_repaired, rows_dropped, short_rows, bad_cells,
+        firmware_repairs, duplicate_days, clock_rollbacks,
+        counter_resets_rebased, values_repaired, duplicate_drives,
+        drives_quarantined, tickets_dropped}) {
+    wire::put_u64(buf, v);
   }
+  wire::put_u64(buf, diagnostics.size());
+  for (const auto& d : diagnostics) wire::put_str(buf, d);
 }
 
-void IngestStats::load(std::istream& is) {
-  std::string tag;
-  int version = 0;
-  if (!(is >> tag >> version) || tag != "ingest_stats" || version != 1) {
-    throw std::runtime_error("IngestStats: malformed header");
+void IngestStats::decode(wire::ByteReader& r) {
+  for (std::size_t* v :
+       {&rows_read, &rows_repaired, &rows_dropped, &short_rows, &bad_cells,
+        &firmware_repairs, &duplicate_days, &clock_rollbacks,
+        &counter_resets_rebased, &values_repaired, &duplicate_drives,
+        &drives_quarantined, &tickets_dropped}) {
+    *v = r.u64();
   }
-  if (!(is >> rows_read >> rows_repaired >> rows_dropped >> short_rows >>
-        bad_cells >> firmware_repairs >> duplicate_days >> clock_rollbacks >>
-        counter_resets_rebased >> values_repaired >> duplicate_drives >>
-        drives_quarantined >> tickets_dropped)) {
-    throw std::runtime_error("IngestStats: truncated counters");
-  }
-  std::size_t n = 0;
-  if (!(is >> tag >> n) || tag != "diagnostics" || n > 10000) {
-    throw std::runtime_error("IngestStats: malformed diagnostics count");
-  }
+  // Each diagnostic takes at least its u32 length prefix.
+  const std::uint64_t n = r.count(4);
   diagnostics.clear();
   diagnostics.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t len = 0;
-    if (!(is >> len) || len > (1u << 20) || is.get() != ' ') {
-      throw std::runtime_error("IngestStats: malformed diagnostic length");
-    }
-    std::string d(len, '\0');
-    if (!is.read(d.data(), static_cast<std::streamsize>(len))) {
-      throw std::runtime_error("IngestStats: truncated diagnostic");
-    }
-    diagnostics.push_back(std::move(d));
-  }
+  for (std::uint64_t i = 0; i < n; ++i) diagnostics.emplace_back(r.str());
 }
 
 void print_ingest_stats(const IngestStats& stats, std::ostream& os) {

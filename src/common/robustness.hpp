@@ -17,6 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/wire.hpp"
+
 namespace mfpa {
 
 enum class IngestMode {
@@ -94,11 +96,11 @@ struct IngestStats {
   /// One-line summary ("rows 1200 (repaired 3, dropped 2), faults: ...").
   std::string summary() const;
 
-  /// Whitespace-tokenized serialization (used inside durable checkpoints;
-  /// integrity is the enclosing format's job). Diagnostics are
-  /// length-prefixed so embedded spaces survive the round trip.
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
+  /// Binary wire.hpp serialization (used inside durable checkpoints;
+  /// integrity is the enclosing format's job). decode() checks every count
+  /// and length against the bytes left before allocating.
+  void encode(std::string& buf) const;
+  void decode(wire::ByteReader& r);
 };
 
 /// Renders the full report (summary, per-cause table, diagnostics) to `os`.

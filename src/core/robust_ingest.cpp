@@ -1,13 +1,8 @@
 #include "core/robust_ingest.hpp"
 
 #include <cmath>
-#include <istream>
 #include <limits>
-#include <ostream>
 #include <stdexcept>
-#include <type_traits>
-
-#include "ml/serialize.hpp"
 
 namespace mfpa::core {
 namespace {
@@ -172,51 +167,23 @@ std::optional<sim::DailyRecord> RecordSanitizer::sanitize(
   return rec;
 }
 
-void RecordSanitizer::save_state(std::ostream& os) const {
-  os << "sanitizer 1\n";
-  stats_.save(os);
-  os << "last_day " << (last_day_.has_value() ? 1 : 0) << ' '
-     << (last_day_.has_value() ? *last_day_ : 0) << '\n';
-  const auto write_array = [&os](const char* tag, const auto& values) {
-    os << tag << ' ' << values.size();
-    for (const auto v : values) {
-      os << ' ';
-      ml::io::write_double(os, static_cast<double>(v));
-    }
-    os << '\n';
-  };
-  write_array("last_raw", last_raw_);
-  write_array("rebase_offset", rebase_offset_);
-  write_array("last_good", last_good_);
+void RecordSanitizer::encode(std::string& buf) const {
+  stats_.encode(buf);
+  wire::put_u8(buf, last_day_.has_value() ? 1 : 0);
+  wire::put_i32(buf, last_day_.value_or(0));
+  for (const float v : last_raw_) wire::put_f32(buf, v);
+  wire::put_f64s(buf, rebase_offset_);
+  for (const float v : last_good_) wire::put_f32(buf, v);
 }
 
-void RecordSanitizer::load_state(std::istream& is) {
-  std::string tag;
-  int version = 0;
-  if (!(is >> tag >> version) || tag != "sanitizer" || version != 1) {
-    throw std::runtime_error("RecordSanitizer: malformed state header");
-  }
-  stats_.load(is);
-  int has = 0;
-  DayIndex day = 0;
-  if (!(is >> tag >> has >> day) || tag != "last_day") {
-    throw std::runtime_error("RecordSanitizer: malformed last_day");
-  }
-  last_day_ = has ? std::optional<DayIndex>(day) : std::nullopt;
-  const auto read_array = [&is](const char* expect_tag, auto& values) {
-    std::string t;
-    std::size_t n = 0;
-    if (!(is >> t >> n) || t != expect_tag || n != values.size()) {
-      throw std::runtime_error(std::string("RecordSanitizer: malformed ") +
-                               expect_tag);
-    }
-    for (auto& v : values) {
-      v = static_cast<std::decay_t<decltype(v)>>(ml::io::read_double(is));
-    }
-  };
-  read_array("last_raw", last_raw_);
-  read_array("rebase_offset", rebase_offset_);
-  read_array("last_good", last_good_);
+void RecordSanitizer::decode(wire::ByteReader& r) {
+  stats_.decode(r);
+  const bool has_day = r.u8() != 0;
+  const DayIndex day = r.i32();
+  last_day_ = has_day ? std::optional<DayIndex>(day) : std::nullopt;
+  for (float& v : last_raw_) v = r.f32();
+  r.f64s(rebase_offset_);
+  for (float& v : last_good_) v = r.f32();
 }
 
 }  // namespace mfpa::core

@@ -20,10 +20,11 @@
 #pragma once
 
 #include <array>
-#include <iosfwd>
 #include <optional>
+#include <string>
 
 #include "common/robustness.hpp"
+#include "common/wire.hpp"
 #include "obs/metrics.hpp"
 #include "sim/catalog.hpp"
 #include "sim/telemetry.hpp"
@@ -61,12 +62,12 @@ class RecordSanitizer {
   void reset();
 
   /// Serializes the full sanitizer state (day-order cursor, re-basing
-  /// offsets, last-good values, accounting) for durable checkpoints; a
-  /// loaded sanitizer continues the delivery sequence bit-identically.
-  /// Doubles round-trip at full precision; integrity is the enclosing
-  /// checkpoint's checksum.
-  void save_state(std::ostream& os) const;
-  void load_state(std::istream& is);
+  /// offsets, last-good values, accounting) for durable checkpoints as raw
+  /// little-endian bits, so a decoded sanitizer continues the delivery
+  /// sequence bit-identically. Integrity is the enclosing checkpoint's
+  /// checksum.
+  void encode(std::string& buf) const;
+  void decode(wire::ByteReader& r);
 
  private:
   RobustnessConfig config_;

@@ -1,12 +1,8 @@
 #include "core/streaming.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <string>
-
-#include "ml/serialize.hpp"
 
 namespace mfpa::core {
 
@@ -136,85 +132,55 @@ ProcessedDrive StreamingIngestor::snapshot() const {
   return out;
 }
 
-void StreamingIngestor::save_state(std::ostream& os) const {
-  os << "ingestor 1\n";
-  sanitizer_.save_state(os);
-  os << "counters " << real_records_ << ' ' << segments_started_ << ' '
-     << (last_day_.has_value() ? 1 : 0) << ' '
-     << (last_day_.has_value() ? *last_day_ : 0) << '\n';
-  const auto write_doubles = [&os](const auto& values) {
-    for (const double v : values) {
-      os << ' ';
-      ml::io::write_double(os, v);
-    }
-  };
-  os << "w_cum";
-  write_doubles(w_cum_);
-  os << "\nb_cum";
-  write_doubles(b_cum_);
-  os << '\n';
-  os << "segment " << segment_.size() << '\n';
+namespace {
+
+/// Smallest encoded segment record: day, synthetic flag, firmware length
+/// prefix and the three value arrays.
+constexpr std::size_t kMinRecordBytes =
+    4 + 1 + 4 +
+    8 * (sim::kNumSmartAttrs + sim::kNumWindowsEvents + sim::kNumBsodCodes);
+
+}  // namespace
+
+void StreamingIngestor::encode(std::string& buf) const {
+  sanitizer_.encode(buf);
+  wire::put_u64(buf, real_records_);
+  wire::put_i32(buf, segments_started_);
+  wire::put_u8(buf, last_day_.has_value() ? 1 : 0);
+  wire::put_i32(buf, last_day_.value_or(0));
+  wire::put_f64s(buf, w_cum_);
+  wire::put_f64s(buf, b_cum_);
+  wire::put_u64(buf, segment_.size());
   for (const auto& rec : segment_) {
-    os << rec.day << ' ' << (rec.synthetic ? 1 : 0) << ' '
-       << rec.firmware.size() << ' ' << rec.firmware;
-    write_doubles(rec.smart);
-    write_doubles(rec.w_cum);
-    write_doubles(rec.b_cum);
-    os << '\n';
+    wire::put_i32(buf, rec.day);
+    wire::put_u8(buf, rec.synthetic ? 1 : 0);
+    wire::put_str(buf, rec.firmware);
+    wire::put_f64s(buf, rec.smart);
+    wire::put_f64s(buf, rec.w_cum);
+    wire::put_f64s(buf, rec.b_cum);
   }
 }
 
-void StreamingIngestor::load_state(std::istream& is) {
-  std::string tag;
-  int version = 0;
-  if (!(is >> tag >> version) || tag != "ingestor" || version != 1) {
-    throw std::runtime_error("StreamingIngestor: malformed state header");
-  }
-  sanitizer_.load_state(is);
-  int has_day = 0;
-  DayIndex day = 0;
-  if (!(is >> tag >> real_records_ >> segments_started_ >> has_day >> day) ||
-      tag != "counters") {
-    throw std::runtime_error("StreamingIngestor: malformed counters");
-  }
+void StreamingIngestor::decode(wire::ByteReader& r) {
+  sanitizer_.decode(r);
+  real_records_ = r.u64();
+  segments_started_ = r.i32();
+  const bool has_day = r.u8() != 0;
+  const DayIndex day = r.i32();
   last_day_ = has_day ? std::optional<DayIndex>(day) : std::nullopt;
-  const auto read_doubles = [&is](auto& values) {
-    for (double& v : values) v = ml::io::read_double(is);
-  };
-  if (!(is >> tag) || tag != "w_cum") {
-    throw std::runtime_error("StreamingIngestor: malformed w_cum");
-  }
-  read_doubles(w_cum_);
-  if (!(is >> tag) || tag != "b_cum") {
-    throw std::runtime_error("StreamingIngestor: malformed b_cum");
-  }
-  read_doubles(b_cum_);
-  std::size_t n = 0;
-  if (!(is >> tag >> n) || tag != "segment" || n > (1u << 24)) {
-    throw std::runtime_error("StreamingIngestor: malformed segment size");
-  }
+  r.f64s(w_cum_);
+  r.f64s(b_cum_);
+  const std::uint64_t n = r.count(kMinRecordBytes);
   segment_.clear();
   segment_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ProcessedRecord rec;
-    int synthetic = 0;
-    std::size_t fw_len = 0;
-    if (!(is >> rec.day >> synthetic >> fw_len) || fw_len > 4096 ||
-        is.get() != ' ') {
-      throw std::runtime_error("StreamingIngestor: malformed segment record");
-    }
-    rec.synthetic = synthetic != 0;
-    rec.firmware.assign(fw_len, '\0');
-    if (!is.read(rec.firmware.data(), static_cast<std::streamsize>(fw_len))) {
-      throw std::runtime_error("StreamingIngestor: truncated firmware string");
-    }
-    read_doubles(rec.smart);
-    read_doubles(rec.w_cum);
-    read_doubles(rec.b_cum);
-    segment_.push_back(std::move(rec));
-  }
-  if (!is) {
-    throw std::runtime_error("StreamingIngestor: truncated state");
+  for (std::uint64_t i = 0; i < n; ++i) {
+    ProcessedRecord& rec = segment_.emplace_back();
+    rec.day = r.i32();
+    rec.synthetic = r.u8() != 0;
+    rec.firmware = r.str();
+    r.f64s(rec.smart);
+    r.f64s(rec.w_cum);
+    r.f64s(rec.b_cum);
   }
 }
 

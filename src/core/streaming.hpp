@@ -17,10 +17,11 @@
 // tests/core/test_robust_ingest.cpp).
 #pragma once
 
-#include <iosfwd>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "common/wire.hpp"
 #include "core/preprocess.hpp"
 #include "core/robust_ingest.hpp"
 #include "sim/telemetry.hpp"
@@ -88,12 +89,13 @@ class StreamingIngestor {
   ProcessedDrive snapshot() const;
 
   /// Serializes the full incremental state (sanitizer, current segment,
-  /// cumulative counters, day cursor) for durable checkpoints. Identity
-  /// (drive_id, vendor) and config are NOT serialized — the loader must
-  /// construct the ingestor with the same arguments, after which a loaded
-  /// ingestor continues the ingest sequence bit-identically.
-  void save_state(std::ostream& os) const;
-  void load_state(std::istream& is);
+  /// cumulative counters, day cursor) for durable checkpoints, doubles as
+  /// raw f64 bits. Identity (drive_id, vendor) and config are NOT
+  /// serialized — the decoder must construct the ingestor with the same
+  /// arguments, after which a decoded ingestor continues the ingest
+  /// sequence bit-identically.
+  void encode(std::string& buf) const;
+  void decode(wire::ByteReader& r);
 
  private:
   std::uint64_t drive_id_;

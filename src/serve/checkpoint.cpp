@@ -7,10 +7,10 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "common/wire.hpp"
 #include "ml/checksum.hpp"
 
 namespace mfpa::serve {
@@ -40,6 +40,11 @@ std::optional<std::uint64_t> parse_ckpt_name(const std::string& name) {
   }
 }
 
+constexpr std::uint32_t kCheckpointMagic = 0x4B43464DU;  // "MFCK"
+constexpr std::uint32_t kCheckpointVersion = 2;
+// magic, version, payload length, digest
+constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;
+
 void fsync_path(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return;
@@ -49,15 +54,20 @@ void fsync_path(const std::string& path) {
 
 }  // namespace
 
-void write_checkpoint_file(const std::string& path,
-                           const DriveStateStore& store, std::uint64_t lsn,
-                           std::uint64_t alert_count, int model_version,
-                           bool fsync) {
-  std::ostringstream payload;
-  payload << "checkpoint 1 " << lsn << ' ' << alert_count << ' '
-          << model_version << '\n';
+std::size_t write_checkpoint_file(const std::string& path,
+                                  const DriveStateStore& store,
+                                  std::uint64_t lsn, std::uint64_t alert_count,
+                                  int model_version, bool fsync) {
+  std::string payload;
+  wire::put_u64(payload, lsn);
+  wire::put_u64(payload, alert_count);
+  wire::put_i32(payload, model_version);
   store.save_state(payload);
-  const std::string body = payload.str();
+  std::string header;
+  wire::put_u32(header, kCheckpointMagic);
+  wire::put_u32(header, kCheckpointVersion);
+  wire::put_u64(header, payload.size());
+  wire::put_u64(header, ml::fnv1a(payload));
 
   const fs::path final_path(path);
   const fs::path tmp = final_path.parent_path() /
@@ -67,9 +77,8 @@ void write_checkpoint_file(const std::string& path,
     if (!out) {
       throw std::runtime_error("checkpoint: cannot create " + tmp.string());
     }
-    out << "mfpa_ckpt 1 " << body.size() << ' '
-        << ml::checksum_hex(ml::fnv1a(body)) << '\n';
-    out << body;
+    out.write(header.data(), static_cast<std::streamsize>(header.size()));
+    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
     out.flush();
     if (!out) {
       throw std::runtime_error("checkpoint: write failed for " + tmp.string());
@@ -83,50 +92,62 @@ void write_checkpoint_file(const std::string& path,
                              ec.message());
   }
   if (fsync) fsync_path(final_path.parent_path().string());
+  return header.size() + payload.size();
 }
 
 CheckpointImage load_checkpoint_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) {
-    throw std::runtime_error("checkpoint: cannot open " + path);
+  CheckpointImage image;
+  {
+    std::ifstream f(path, std::ios::binary | std::ios::ate);
+    if (!f) {
+      throw std::runtime_error("checkpoint: cannot open " + path);
+    }
+    const std::streamoff size = f.tellg();
+    if (size < 0) {
+      throw std::runtime_error("checkpoint: cannot read " + path);
+    }
+    image.file.resize(static_cast<std::size_t>(size));
+    f.seekg(0);
+    if (!f.read(image.file.data(),
+                static_cast<std::streamsize>(image.file.size()))) {
+      throw std::runtime_error("checkpoint: cannot read " + path);
+    }
   }
-  std::string bytes((std::istreambuf_iterator<char>(f)),
-                    std::istreambuf_iterator<char>());
-  const std::size_t nl = bytes.find('\n');
-  if (nl == std::string::npos) {
-    throw std::runtime_error("checkpoint: missing header in " + path);
+  const std::string_view bytes = image.file;
+  if (bytes.starts_with("mfpa_ckpt ")) {
+    throw std::runtime_error(
+        "checkpoint: unsupported checkpoint version 1 (text) in " + path);
   }
-  std::istringstream header(bytes.substr(0, nl));
-  std::string tag, hex;
-  int version = 0;
-  std::size_t payload_bytes = 0;
-  if (!(header >> tag >> version >> payload_bytes >> hex) ||
-      tag != "mfpa_ckpt" || version != 1) {
-    throw std::runtime_error("checkpoint: malformed header in " + path);
+  if (bytes.size() < kHeaderBytes) {
+    throw std::runtime_error("checkpoint: truncated header in " + path);
   }
-  const std::string payload = bytes.substr(nl + 1);
+  wire::ByteReader header(bytes.substr(0, kHeaderBytes), "checkpoint header");
+  if (header.u32() != kCheckpointMagic) {
+    throw std::runtime_error("checkpoint: bad magic in " + path);
+  }
+  const std::uint32_t version = header.u32();
+  if (version != kCheckpointVersion) {
+    throw std::runtime_error("checkpoint: unsupported checkpoint version " +
+                             std::to_string(version) + " in " + path);
+  }
+  const std::uint64_t payload_bytes = header.u64();
+  const std::uint64_t digest = header.u64();
+  const std::string_view payload = bytes.substr(kHeaderBytes);
   if (payload.size() != payload_bytes) {
     throw std::runtime_error(
         "checkpoint: " + path + " holds " + std::to_string(payload.size()) +
         " payload bytes, header declares " + std::to_string(payload_bytes) +
         " (truncated or trailing garbage)");
   }
-  if (ml::fnv1a(payload) != ml::parse_checksum_hex(hex)) {
+  if (ml::fnv1a(payload) != digest) {
     throw std::runtime_error("checkpoint: payload checksum mismatch in " +
                              path);
   }
-  const std::size_t body_nl = payload.find('\n');
-  if (body_nl == std::string::npos) {
-    throw std::runtime_error("checkpoint: missing payload header in " + path);
-  }
-  std::istringstream body_header(payload.substr(0, body_nl));
-  CheckpointImage image;
-  if (!(body_header >> tag >> version >> image.lsn >> image.alert_count >>
-        image.model_version) ||
-      tag != "checkpoint" || version != 1) {
-    throw std::runtime_error("checkpoint: malformed payload header in " + path);
-  }
-  image.store_state = payload.substr(body_nl + 1);
+  wire::ByteReader r(payload, "checkpoint payload");
+  image.lsn = r.u64();
+  image.alert_count = r.u64();
+  image.model_version = r.i32();
+  image.store_offset = kHeaderBytes + (payload.size() - r.remaining());
   return image;
 }
 
@@ -171,6 +192,9 @@ DurabilityManager::DurabilityManager(DurabilityConfig config)
   metrics_.fallbacks = &reg.counter("mfpa_ckpt_fallbacks_total");
   metrics_.pruned = &reg.counter("mfpa_ckpt_pruned_total");
   metrics_.last_lsn = &reg.gauge("mfpa_ckpt_last_lsn");
+  // ~4 ms bins: a checkpoint of the `small` fleet takes tens of ms.
+  metrics_.write_seconds =
+      &reg.histogram("mfpa_ckpt_write_seconds", 0.0, 2.0, 512);
 }
 
 RecoveryResult DurabilityManager::recover(DriveStateStore& store,
@@ -220,8 +244,7 @@ RecoveryResult DurabilityManager::recover(DriveStateStore& store,
           std::to_string(current_model_version) +
           "; replaying under a different model would fabricate alerts");
     }
-    std::istringstream state(image->store_state);
-    store.load_state(state);
+    store.load_state(image->store_state());
     result.checkpoint_loaded = true;
     result.checkpoint_lsn = image->lsn;
     result.model_version = image->model_version;
@@ -246,11 +269,7 @@ void DurabilityManager::finish_recovery(const DriveStateStore& store,
   // clean generation (the old segments are fully covered by the snapshot).
   alerts_.flush();
   const std::uint64_t lsn = wal_.last_lsn();
-  write_checkpoint_file(
-      (ckpt_dir(config_.dir) / ckpt_name(lsn)).string(), store, lsn,
-      alerts_.count(), model_version, config_.fsync);
-  metrics_.writes->inc();
-  metrics_.last_lsn->set(static_cast<double>(lsn));
+  write_checkpoint(store, lsn, model_version);
   prev_checkpoint_lsn_ = last_checkpoint_lsn_;
   last_checkpoint_lsn_ = lsn;
   wal_.reset(lsn);
@@ -287,12 +306,7 @@ void DurabilityManager::checkpoint_now(const DriveStateStore& store,
   wal_.flush();
   alerts_.flush();
   const std::uint64_t lsn = wal_.last_lsn();
-  const std::string path = (ckpt_dir(config_.dir) / ckpt_name(lsn)).string();
-  write_checkpoint_file(path, store, lsn, alerts_.count(), model_version,
-                        config_.fsync);
-  metrics_.writes->inc();
-  metrics_.bytes->inc(fs::file_size(path));
-  metrics_.last_lsn->set(static_cast<double>(lsn));
+  write_checkpoint(store, lsn, model_version);
   if (lsn != last_checkpoint_lsn_) {
     prev_checkpoint_lsn_ = last_checkpoint_lsn_;
     last_checkpoint_lsn_ = lsn;
@@ -301,6 +315,21 @@ void DurabilityManager::checkpoint_now(const DriveStateStore& store,
   wal_.rotate(lsn, prev_checkpoint_lsn_);
   prune_checkpoints();
   records_since_checkpoint_ = 0;
+}
+
+void DurabilityManager::write_checkpoint(const DriveStateStore& store,
+                                         std::uint64_t lsn,
+                                         int model_version) {
+  std::size_t bytes = 0;
+  {
+    obs::ScopedTimer timer(*metrics_.write_seconds);
+    bytes = write_checkpoint_file(
+        (ckpt_dir(config_.dir) / ckpt_name(lsn)).string(), store, lsn,
+        alerts_.count(), model_version, config_.fsync);
+  }
+  metrics_.writes->inc();
+  metrics_.bytes->inc(bytes);
+  metrics_.last_lsn->set(static_cast<double>(lsn));
 }
 
 void DurabilityManager::flush() {

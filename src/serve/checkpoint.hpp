@@ -3,12 +3,23 @@
 //
 // A checkpoint is a point-in-time snapshot of the DriveStateStore (every
 // ingestor window, emission cursor, and alert-hysteresis register) plus the
-// WAL position and durable-alert count it corresponds to, written with the
-// same checksummed framing as model artifacts:
+// WAL position and durable-alert count it corresponds to, written as one
+// binary little-endian file in the common/wire.hpp format family (version 2):
 //
-//   mfpa_ckpt 1 <payload bytes> <fnv1a-64 hex of payload>
-//   checkpoint 1 <lsn> <durable alert count> <model version>
-//   <DriveStateStore::save_state image>
+//   offset  size  field
+//   0       4     magic "MFCK" (u32 0x4B43464D)
+//   4       4     version, u32 = 2
+//   8       8     payload length in bytes, u64
+//   16      8     FNV-1a-64 of the payload, u64
+//   24      8     payload: WAL lsn the snapshot covers, u64
+//   32      8     payload: durable alert count, u64
+//   40      4     payload: pinned model version, i32
+//   44      ...   payload: DriveStateStore::save_state image
+//
+// Doubles in the store image are raw f64 bits, so a restored store
+// continues bit-identically. A version-1 text checkpoint ("mfpa_ckpt 1 ...",
+// written by older builds) is refused as an unsupported version, which
+// recovery treats like any corrupt candidate.
 //
 // Files live under `<dir>/ckpt/ckpt-<lsn>.mfc`, written dot-temp + fsync +
 // rename (the model-registry publish idiom), and the two newest are
@@ -27,6 +38,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -67,21 +79,33 @@ struct RecoveryResult {
 
 // --- low-level checkpoint I/O (exposed for tests / fault injection) --------
 
-/// Atomically writes one checkpoint file for `store` at WAL position `lsn`.
-void write_checkpoint_file(const std::string& path, const DriveStateStore& store,
-                           std::uint64_t lsn, std::uint64_t alert_count,
-                           int model_version, bool fsync);
+/// Atomically writes one checkpoint file for `store` at WAL position `lsn`;
+/// returns the file's size in bytes. The image is built in one buffer that
+/// is freed before returning.
+std::size_t write_checkpoint_file(const std::string& path,
+                                  const DriveStateStore& store,
+                                  std::uint64_t lsn, std::uint64_t alert_count,
+                                  int model_version, bool fsync);
 
-/// Parsed checkpoint header (payload already digest-verified).
+/// Parsed checkpoint header (payload already digest-verified). Holds the
+/// whole file; the store image is a view into it, so it is decoded without
+/// a copy.
 struct CheckpointImage {
   std::uint64_t lsn = 0;
   std::uint64_t alert_count = 0;
   int model_version = -1;
-  std::string store_state;  ///< DriveStateStore::save_state image
+  std::string file;              ///< the checkpoint file's bytes
+  std::size_t store_offset = 0;  ///< where the store image starts in `file`
+
+  /// The DriveStateStore::save_state image.
+  std::string_view store_state() const {
+    return std::string_view(file).substr(store_offset);
+  }
 };
 
 /// Loads and verifies one checkpoint file. Throws std::runtime_error on a
-/// missing file, bad framing, byte-count mismatch, or digest mismatch.
+/// missing file, bad magic, an unsupported version (v1 text included),
+/// byte-count mismatch, or digest mismatch.
 CheckpointImage load_checkpoint_file(const std::string& path);
 
 /// Checkpoint files under `<dir>/ckpt`, sorted by LSN ascending.
@@ -150,9 +174,13 @@ class DurabilityManager {
     obs::Counter* fallbacks = nullptr;
     obs::Counter* pruned = nullptr;
     obs::Gauge* last_lsn = nullptr;
+    obs::HistogramMetric* write_seconds = nullptr;
   };
   Metrics metrics_;
 
+  /// Writes the checkpoint for `lsn` and counts it (writes, bytes, time).
+  void write_checkpoint(const DriveStateStore& store, std::uint64_t lsn,
+                        int model_version);
   void prune_checkpoints();
 };
 

@@ -1,12 +1,11 @@
 #include "serve/drive_state_store.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "common/wire.hpp"
 #include "ml/parallel_for.hpp"
 
 namespace mfpa::serve {
@@ -114,15 +113,21 @@ bool DriveStateStore::should_alert(std::uint64_t drive_id, DayIndex day,
   return true;
 }
 
-void DriveStateStore::save_state(std::ostream& os) const {
-  std::size_t drives = 0;
+namespace {
+
+/// Per-drive header: id, vendor, emitted, segments_seen, quarantine flag,
+/// consecutive, last_alert, alert_segment.
+constexpr std::size_t kDriveHeaderBytes = 8 + 4 + 8 + 4 + 1 + 4 + 4 + 4;
+
+}  // namespace
+
+void DriveStateStore::save_state(std::string& out) const {
   std::size_t records_ingested = 0;
   std::size_t rows_emitted = 0;
   std::size_t segments_restarted = 0;
   std::vector<std::pair<std::uint64_t, const DriveState*>> ordered;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    drives += shard->drives.size();
     records_ingested += shard->records_ingested;
     rows_emitted += shard->rows_emitted;
     segments_restarted += shard->segments_restarted;
@@ -132,33 +137,29 @@ void DriveStateStore::save_state(std::ostream& os) const {
   }
   std::sort(ordered.begin(), ordered.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  os << "store 2 " << records_ingested << ' ' << rows_emitted << ' '
-     << segments_restarted << '\n';
-  os << "drives " << drives << '\n';
+  wire::put_u64(out, records_ingested);
+  wire::put_u64(out, rows_emitted);
+  wire::put_u64(out, segments_restarted);
+  wire::put_u64(out, ordered.size());
   for (const auto& [id, state] : ordered) {
-    os << "drive " << id << ' ' << state->ingestor.vendor() << ' '
-       << state->emitted << ' ' << state->segments_seen << ' '
-       << (state->quarantine_counted ? 1 : 0) << ' ' << state->consecutive
-       << ' ' << state->last_alert << ' ' << state->alert_segment << '\n';
-    state->ingestor.save_state(os);
+    wire::put_u64(out, id);
+    wire::put_i32(out, state->ingestor.vendor());
+    wire::put_u64(out, state->emitted);
+    wire::put_i32(out, state->segments_seen);
+    wire::put_u8(out, state->quarantine_counted ? 1 : 0);
+    wire::put_i32(out, state->consecutive);
+    wire::put_i32(out, state->last_alert);
+    wire::put_i32(out, state->alert_segment);
+    state->ingestor.encode(out);
   }
 }
 
-void DriveStateStore::load_state(std::istream& is) {
-  std::string tag;
-  int version = 0;
-  std::size_t records_ingested = 0;
-  std::size_t rows_emitted = 0;
-  std::size_t segments_restarted = 0;
-  if (!(is >> tag >> version >> records_ingested >> rows_emitted >>
-        segments_restarted) ||
-      tag != "store" || version < 1 || version > 2) {
-    throw std::runtime_error("DriveStateStore: malformed state header");
-  }
-  std::size_t n = 0;
-  if (!(is >> tag >> n) || tag != "drives" || n > (1u << 26)) {
-    throw std::runtime_error("DriveStateStore: malformed drive count");
-  }
+void DriveStateStore::load_state(std::string_view image) {
+  wire::ByteReader r(image, "DriveStateStore image");
+  const std::uint64_t records_ingested = r.u64();
+  const std::uint64_t rows_emitted = r.u64();
+  const std::uint64_t segments_restarted = r.u64();
+  const std::uint64_t n = r.count(kDriveHeaderBytes);
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     if (!shard->drives.empty()) {
@@ -173,26 +174,9 @@ void DriveStateStore::load_state(std::istream& is) {
   shards_[0]->records_ingested = records_ingested;
   shards_[0]->rows_emitted = rows_emitted;
   shards_[0]->segments_restarted = segments_restarted;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t id = 0;
-    int vendor = 0;
-    std::size_t emitted = 0;
-    int segments_seen = 0;
-    int quarantine_counted = 0;
-    int consecutive = 0;
-    DayIndex last_alert = 0;
-    if (!(is >> tag >> id >> vendor >> emitted >> segments_seen >>
-          quarantine_counted >> consecutive >> last_alert) ||
-        tag != "drive") {
-      throw std::runtime_error("DriveStateStore: malformed drive record");
-    }
-    // v2 adds the segment generation the hysteresis state belongs to; v1
-    // checkpoints (taken when the reset was applied eagerly at ingest) are
-    // equivalent to state already caught up with the ingest cursor.
-    int alert_segment = segments_seen;
-    if (version >= 2 && !(is >> alert_segment)) {
-      throw std::runtime_error("DriveStateStore: malformed drive record");
-    }
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t id = r.u64();
+    const int vendor = r.i32();
     Shard& shard = shard_for(id);
     std::lock_guard<std::mutex> lock(shard.mu);
     const auto [it, inserted] =
@@ -202,15 +186,16 @@ void DriveStateStore::load_state(std::istream& is) {
                                std::to_string(id) + " in checkpoint");
     }
     DriveState& state = it->second;
-    state.emitted = emitted;
-    state.segments_seen = segments_seen;
-    state.quarantine_counted = quarantine_counted != 0;
-    state.consecutive = consecutive;
-    state.last_alert = last_alert;
-    state.alert_segment = alert_segment;
-    state.ingestor.load_state(is);
+    state.emitted = r.u64();
+    state.segments_seen = r.i32();
+    state.quarantine_counted = r.u8() != 0;
+    state.consecutive = r.i32();
+    state.last_alert = r.i32();
+    state.alert_segment = r.i32();
+    state.ingestor.decode(r);
     metrics_.drives_tracked->add(1.0);
   }
+  r.expect_done();
 }
 
 StoreStats DriveStateStore::stats() const {

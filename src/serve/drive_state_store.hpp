@@ -19,10 +19,11 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -101,15 +102,19 @@ class DriveStateStore {
   /// Merged accounting across all shards (takes every stripe briefly).
   StoreStats stats() const;
 
-  /// Serializes every tracked drive's full state (ingestor, emission cursor,
-  /// alert hysteresis) plus the aggregate counters, drives ordered by id so
-  /// the image is deterministic regardless of shard count or hash-map
+  /// Appends every tracked drive's full state (ingestor, emission cursor,
+  /// alert hysteresis) plus the aggregate counters to `out` as one binary
+  /// little-endian image (common/wire.hpp), drives ordered by id so the
+  /// image is deterministic regardless of shard count or hash-map
   /// iteration order. load_state() rebuilds the fleet into the *current*
   /// shard layout (aggregate counters land on shard 0), so a checkpoint
-  /// taken with N shards restores correctly under M. Not thread-safe against
+  /// taken with N shards restores correctly under M; it decodes straight
+  /// from the caller's bytes, checks every count and length against the
+  /// bytes left before allocating, and throws std::runtime_error on a
+  /// malformed image or a duplicate drive. Not thread-safe against
   /// concurrent ingest — call from the single drain thread or before start.
-  void save_state(std::ostream& os) const;
-  void load_state(std::istream& is);
+  void save_state(std::string& out) const;
+  void load_state(std::string_view image);
 
  private:
   struct DriveState {
