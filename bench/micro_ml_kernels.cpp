@@ -7,7 +7,9 @@
 
 #include "common/rng.hpp"
 #include "core/preprocess.hpp"
+#include "core/sample_builder.hpp"
 #include "data/binned_matrix.hpp"
+#include "data/label_encoder.hpp"
 #include "ml/factory.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/metrics.hpp"
@@ -236,6 +238,33 @@ void BM_PreprocessTelemetry(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(records));
 }
 BENCHMARK(BM_PreprocessTelemetry);
+
+// Feature assembly as the serving drain does it: one SFWB row per cleaned
+// record, firmware encoded through a fitted encoder.
+void BM_FeatureAssembly(benchmark::State& state) {
+  sim::FleetSimulator fleet(sim::tiny_scenario(1));
+  const auto drives = core::Preprocessor().process(fleet.generate_telemetry());
+  std::vector<core::ProcessedRecord> records;
+  std::vector<std::string> firmware;
+  for (const auto& drive : drives) {
+    for (const auto& rec : drive.records) {
+      if (records.size() == 4096) break;
+      records.push_back(rec);
+      firmware.push_back(rec.firmware);
+    }
+  }
+  data::LabelEncoder encoder;
+  encoder.fit(firmware);
+  const core::SampleBuilder builder(core::SampleConfig{}, &encoder);
+  for (auto _ : state) {
+    for (const auto& rec : records) {
+      benchmark::DoNotOptimize(builder.features_of(rec));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(records.size()));
+}
+BENCHMARK(BM_FeatureAssembly);
 
 void BM_TelemetryGeneration(benchmark::State& state) {
   for (auto _ : state) {

@@ -39,6 +39,9 @@ SampleBuilder::SampleBuilder(SampleConfig config,
       g == FeatureGroup::kB) {
     for (std::size_t i = 0; i < sim::kNumBsodCodes; ++i) b_indices_.push_back(i);
   }
+  feature_count_ = (use_smart_ ? sim::kNumSmartAttrs : 0) +
+                   (use_firmware_ ? 1 : 0) + w_indices_.size() +
+                   b_indices_.size();
   if (config_.positive_window < 1) {
     throw std::invalid_argument("SampleBuilder: positive_window must be >= 1");
   }
@@ -57,7 +60,7 @@ SampleBuilder::SampleBuilder(SampleConfig config,
 std::vector<double> SampleBuilder::features_of(
     const ProcessedRecord& record) const {
   std::vector<double> out;
-  out.reserve(feature_count_of(config_.group));
+  out.reserve(feature_count_);
   if (use_smart_) {
     out.insert(out.end(), record.smart.begin(), record.smart.end());
   }
@@ -119,7 +122,7 @@ std::vector<double> SampleBuilder::row_for(const ProcessedDrive& drive,
   // first, padded by repeating the oldest available record.
   std::vector<double> out;
   const int T = config_.seq_len;
-  out.reserve(feature_count_of(config_.group) * static_cast<std::size_t>(T));
+  out.reserve(feature_count_ * static_cast<std::size_t>(T));
   for (int t = T - 1; t >= 0; --t) {
     const std::ptrdiff_t idx =
         static_cast<std::ptrdiff_t>(record_index) - t;

@@ -74,6 +74,7 @@ class SampleBuilder {
   bool use_firmware_ = false;
   std::vector<std::size_t> w_indices_;
   std::vector<std::size_t> b_indices_;
+  std::size_t feature_count_ = 0;  ///< length of one features_of() row
 
   std::vector<double> row_for(const ProcessedDrive& drive,
                               std::size_t record_index) const;

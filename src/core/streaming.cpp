@@ -40,7 +40,7 @@ ProcessedRecord StreamingIngestor::convert(const sim::DailyRecord& raw) {
   return rec;
 }
 
-std::vector<ProcessedRecord> StreamingIngestor::ingest(
+std::span<const ProcessedRecord> StreamingIngestor::ingest(
     const sim::DailyRecord& raw) {
   // The sanitizer enforces the day-order contract (strict: throws; lenient:
   // idempotent duplicate / rollback drops) and repairs values; the gap
@@ -54,7 +54,6 @@ std::vector<ProcessedRecord> StreamingIngestor::ingest(
   if (!sanitized.has_value()) return {};
   const sim::DailyRecord& record = *sanitized;
 
-  std::vector<ProcessedRecord> produced;
   const bool first = !last_day_.has_value();
   const int gap = first ? 1 : record.day - *last_day_;
   last_day_ = record.day;
@@ -68,13 +67,16 @@ std::vector<ProcessedRecord> StreamingIngestor::ingest(
     b_cum_.fill(0.0);
     ++segments_started_;
     metrics_.segments_restarted->inc();
-  } else if (!first && gap >= 2 && gap <= config_.fill_gap &&
-             !segment_.empty()) {
+  }
+  const std::size_t produced_from = segment_.size();
+
+  if (!first && gap >= 2 && gap <= config_.fill_gap && !segment_.empty()) {
+    // A copy: emplace_back below may reallocate under a reference.
     const ProcessedRecord prev = segment_.back();
     ProcessedRecord next_actual = convert(record);
     for (int d = 1; d < gap; ++d) {
       const double t = static_cast<double>(d) / static_cast<double>(gap);
-      ProcessedRecord fill;
+      ProcessedRecord& fill = segment_.emplace_back();
       fill.day = prev.day + d;
       fill.synthetic = true;
       fill.firmware = prev.firmware;
@@ -87,23 +89,15 @@ std::vector<ProcessedRecord> StreamingIngestor::ingest(
       for (std::size_t b = 0; b < sim::kNumBsodCodes; ++b) {
         fill.b_cum[b] = prev.b_cum[b] + t * (next_actual.b_cum[b] - prev.b_cum[b]);
       }
-      segment_.push_back(fill);
-      produced.push_back(std::move(fill));
       metrics_.rows_synthetic->inc();
     }
-    segment_.push_back(next_actual);
-    ++real_records_;
-    metrics_.rows_real->inc();
-    produced.push_back(std::move(next_actual));
-    return produced;
+    segment_.push_back(std::move(next_actual));
+  } else {
+    segment_.push_back(convert(record));
   }
-
-  ProcessedRecord rec = convert(record);
-  segment_.push_back(rec);
   ++real_records_;
   metrics_.rows_real->inc();
-  produced.push_back(std::move(rec));
-  return produced;
+  return std::span<const ProcessedRecord>(segment_).subspan(produced_from);
 }
 
 std::size_t StreamingIngestor::compact(std::size_t max_records) {
@@ -122,14 +116,6 @@ bool StreamingIngestor::usable() const noexcept {
 
 bool StreamingIngestor::quarantined() const noexcept {
   return sanitizer_.quarantined(static_cast<std::size_t>(config_.min_records));
-}
-
-ProcessedDrive StreamingIngestor::snapshot() const {
-  ProcessedDrive out;
-  out.drive_id = drive_id_;
-  out.vendor = vendor_;
-  out.records = segment_;
-  return out;
 }
 
 namespace {

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,8 @@ class StreamingIngestor {
   /// Ingests the next raw daily record. Returns the cleaned records this
   /// upload produced: possibly several (gap-fill synthesizes intermediate
   /// days), possibly the start of a fresh segment (long gap), possibly none.
+  /// The result is a view of the newly appended tail of segment(), not a
+  /// copy: it stays valid until the next ingest(), compact() or decode().
   ///
   /// Day-order contract (config().robustness):
   ///  * strict — days must be strictly increasing; throws
@@ -46,7 +49,7 @@ class StreamingIngestor {
   ///    and counts a `duplicate_days` fault; a day earlier than one already
   ///    seen is dropped the same way as a `clock_rollbacks` fault. Bad
   ///    values are repaired and counter resets re-based per the config.
-  std::vector<ProcessedRecord> ingest(const sim::DailyRecord& record);
+  std::span<const ProcessedRecord> ingest(const sim::DailyRecord& record);
 
   /// Records of the *current* segment, oldest first.
   const std::vector<ProcessedRecord>& segment() const noexcept {
@@ -75,7 +78,8 @@ class StreamingIngestor {
   /// retained records, and gap filling only reads segment().back(), so
   /// compaction never changes future ingest output — it only bounds memory
   /// for long-running per-drive state (the serving tier's DriveStateStore
-  /// compacts after every emit). `max_records` is clamped to >= 1.
+  /// compacts to the newest record after every emit). `max_records` is
+  /// clamped to >= 1.
   std::size_t compact(std::size_t max_records);
 
   /// Number of long-gap cuts seen so far.
@@ -83,10 +87,6 @@ class StreamingIngestor {
 
   std::uint64_t drive_id() const noexcept { return drive_id_; }
   int vendor() const noexcept { return vendor_; }
-
-  /// Materializes the current segment as a ProcessedDrive (for scoring
-  /// through SampleBuilder / OnlinePredictor).
-  ProcessedDrive snapshot() const;
 
   /// Serializes the full incremental state (sanitizer, current segment,
   /// cumulative counters, day cursor) for durable checkpoints, doubles as

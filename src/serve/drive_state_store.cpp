@@ -26,6 +26,12 @@ DriveStateStore::DriveStateStore(StoreConfig config) : config_(config) {
   metrics_.drives_tracked = &reg.gauge("mfpa_store_drives_tracked");
 }
 
+DriveStateStore::~DriveStateStore() {
+  std::size_t tracked = 0;
+  for (const auto& shard : shards_) tracked += shard->drives.size();
+  metrics_.drives_tracked->add(-static_cast<double>(tracked));
+}
+
 DriveStateStore::Shard& DriveStateStore::shard_for(
     std::uint64_t drive_id) const {
   // Fibonacci hash spreads sequential drive ids across stripes.
@@ -72,12 +78,11 @@ void DriveStateStore::ingest(std::uint64_t drive_id, int vendor,
     out.push_back({drive_id, vendor, segment[i], state.segments_seen});
     ++shard.rows_emitted;
   }
+  // Every record is out: keep only the gap-fill anchor. An image restored
+  // from a build that retained more records is compacted here on its first
+  // emission.
+  state.ingestor.compact(1);
   state.emitted = segment.size();
-
-  if (config_.max_records_per_drive > 0 &&
-      segment.size() > config_.max_records_per_drive) {
-    state.emitted -= state.ingestor.compact(config_.max_records_per_drive);
-  }
 }
 
 bool DriveStateStore::should_alert(std::uint64_t drive_id, DayIndex day,
@@ -185,6 +190,7 @@ void DriveStateStore::load_state(std::string_view image) {
       throw std::runtime_error("DriveStateStore: duplicate drive " +
                                std::to_string(id) + " in checkpoint");
     }
+    metrics_.drives_tracked->add(1.0);
     DriveState& state = it->second;
     state.emitted = r.u64();
     state.segments_seen = r.i32();
@@ -193,7 +199,6 @@ void DriveStateStore::load_state(std::string_view image) {
     state.last_alert = r.i32();
     state.alert_segment = r.i32();
     state.ingestor.decode(r);
-    metrics_.drives_tracked->add(1.0);
   }
   r.expect_done();
 }

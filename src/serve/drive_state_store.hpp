@@ -16,6 +16,12 @@
 // subsequent cleaned record (synthetic gap-fills included) as it arrives. A
 // long gap starts a fresh segment: emission state and alert hysteresis reset
 // exactly like the batch path, which would never have seen the old segment.
+//
+// Retention: served rows are flat (one record each) and are copied into
+// PendingRow when emitted, and gap filling reads only the newest record, so
+// once a usable drive's rows are out its segment is compacted to that one
+// record, the gap-fill anchor. Records of a segment that is not yet usable
+// are withheld and kept until it becomes usable.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +54,6 @@ struct StoreConfig {
   core::PreprocessConfig preprocess;
   /// Lock stripes; 0 = one per hardware core.
   std::size_t shards = 0;
-  /// Per-drive retained records after emission (bounds memory; must cover
-  /// any feature window the builder needs). 0 = unbounded.
-  std::size_t max_records_per_drive = 16;
 };
 
 /// One cleaned record ready for feature extraction + scoring.
@@ -79,6 +82,10 @@ struct StoreStats {
 class DriveStateStore {
  public:
   explicit DriveStateStore(StoreConfig config);
+  /// Takes the drives this store tracked off `mfpa_store_drives_tracked`.
+  ~DriveStateStore();
+  DriveStateStore(const DriveStateStore&) = delete;
+  DriveStateStore& operator=(const DriveStateStore&) = delete;
 
   const StoreConfig& config() const noexcept { return config_; }
   std::size_t shard_count() const noexcept { return shards_.size(); }

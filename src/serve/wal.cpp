@@ -243,7 +243,7 @@ void WalWriter::open_generation(std::uint64_t base_lsn) {
       throw std::runtime_error("wal: cannot create segment " + seg.path);
     }
   }
-  fsync_dir(wal_dir.string());
+  sync_wal_dir();
 }
 
 std::uint64_t WalWriter::append(std::uint64_t drive_id, int vendor,
@@ -305,8 +305,14 @@ void WalWriter::rotate(std::uint64_t ckpt_lsn, std::uint64_t keep_from_lsn) {
       fs::remove(entry.path());
     }
   }
-  fsync_dir(wal_dir.string());
+  sync_wal_dir();
   metrics_.rotations->inc();
+}
+
+void WalWriter::sync_wal_dir() {
+  if (!config_.fsync) return;
+  fsync_dir((fs::path(config_.dir) / "wal").string());
+  metrics_.fsyncs->inc();
 }
 
 void WalWriter::reset(std::uint64_t base_lsn) {

@@ -99,7 +99,9 @@ struct WalWriterConfig {
   std::string dir;                        ///< durable root (wal/ lives below)
   std::size_t shards = 4;                 ///< per-shard segment files
   std::size_t group_commit_records = 256; ///< fsync every N appends (0 = every flush only)
-  bool fsync = true;                      ///< false only in throwaway tests
+  /// false skips every fsync, segment files and the wal/ directory alike
+  /// (throwaway tests, and benchmarks whose crash is a SIGKILL).
+  bool fsync = true;
 };
 
 /// Append side of the log. Single-writer by contract (the engine's drain
@@ -152,12 +154,15 @@ class WalWriter {
   struct Metrics {
     obs::Counter* appends = nullptr;
     obs::Counter* bytes = nullptr;
-    obs::Counter* fsyncs = nullptr;
+    obs::Counter* fsyncs = nullptr;  ///< segment files and the wal/ directory
     obs::Counter* rotations = nullptr;
   };
   Metrics metrics_;
 
   void close_segments();
+  /// fsyncs the wal/ directory (new or deleted segment names) unless
+  /// config_.fsync is off.
+  void sync_wal_dir();
   void write_out(Segment& seg);
 };
 

@@ -91,13 +91,26 @@ TEST(Streaming, SyntheticFillsDoNotCountTowardUsable) {
   EXPECT_FALSE(ingestor.usable());  // only two real records
 }
 
-TEST(Streaming, SnapshotCarriesIdentity) {
+TEST(Streaming, CarriesIdentity) {
   StreamingIngestor ingestor(99, 2);
   ingestor.ingest(raw_record(5));
-  const auto drive = ingestor.snapshot();
-  EXPECT_EQ(drive.drive_id, 99u);
-  EXPECT_EQ(drive.vendor, 2);
-  EXPECT_EQ(drive.records.size(), 1u);
+  EXPECT_EQ(ingestor.drive_id(), 99u);
+  EXPECT_EQ(ingestor.vendor(), 2);
+  EXPECT_EQ(ingestor.segment().size(), 1u);
+}
+
+TEST(Streaming, IngestViewsTheNewTailOfTheSegment) {
+  // ingest() returns the appended records in place, not a copy.
+  StreamingIngestor ingestor(1, 0);
+  ingestor.ingest(raw_record(10));
+  const auto produced = ingestor.ingest(raw_record(13));  // two fills + one
+  ASSERT_EQ(produced.size(), 3u);
+  ASSERT_EQ(ingestor.segment().size(), 4u);
+  EXPECT_EQ(produced.data(), ingestor.segment().data() + 1);
+  // A long gap restarts the segment; the view covers the fresh record only.
+  const auto restarted = ingestor.ingest(raw_record(40));
+  ASSERT_EQ(restarted.size(), 1u);
+  EXPECT_EQ(restarted.data(), ingestor.segment().data());
 }
 
 TEST(Streaming, MatchesBatchPreprocessorOnRealTelemetry) {

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <map>
+#include <utility>
 
 #include "core/mfpa.hpp"
 #include "core/online_predictor.hpp"
@@ -31,6 +34,9 @@ struct AlertKey {
     return day < o.day;
   }
 };
+
+/// A score per (drive, day).
+using DayScores = std::map<std::pair<std::uint64_t, DayIndex>, double>;
 
 std::vector<AlertKey> sorted_keys(const std::vector<core::Alert>& alerts) {
   std::vector<AlertKey> keys;
@@ -61,6 +67,7 @@ class ServingParityTest : public ::testing::Test {
     // kept segment and engine alerts are compared within that window (alert
     // hysteresis resets on segment restart, exactly like the batch).
     windows_ = new std::map<std::uint64_t, DayIndex>();
+    reference_scores_ = new DayScores();
     const core::Preprocessor pre;
     core::OnlinePredictor predictor(*pipeline_, policy());
     for (const auto& series : *telemetry_) {
@@ -68,12 +75,17 @@ class ServingParityTest : public ::testing::Test {
       if (drive.records.empty()) continue;
       if (drive.records.back().day != series.records.back().day) continue;
       (*windows_)[drive.drive_id] = drive.records.front().day;
-      predictor.score_drive(drive);
+      const auto scores = predictor.score_drive(drive);
+      for (std::size_t r = 0; r < scores.size(); ++r) {
+        (*reference_scores_)[{drive.drive_id, drive.records[r].day}] =
+            scores[r];
+      }
     }
     reference_ = new std::vector<core::Alert>(predictor.alerts());
   }
   static void TearDownTestSuite() {
     delete reference_;
+    delete reference_scores_;
     delete windows_;
     delete pipeline_;
     delete telemetry_;
@@ -99,7 +111,10 @@ class ServingParityTest : public ::testing::Test {
     return p;
   }
 
-  std::vector<core::Alert> serve_alerts(std::size_t threads) {
+  /// Replays the fleet through an engine; with `scores`, also returns every
+  /// served row's score (EngineConfig::record_scores).
+  std::vector<core::Alert> serve_alerts(
+      std::size_t threads, std::vector<serve::ScoredRow>* scores = nullptr) {
     // Keyed by test name as well as thread count: ctest runs discovered
     // tests as parallel processes, and both tests publish at threads=1.
     const fs::path dir =
@@ -112,10 +127,12 @@ class ServingParityTest : public ::testing::Test {
     registry.publish_pipeline(*pipeline_, 0, 100);
     serve::EngineConfig config;
     config.alert_policy = policy();
+    config.record_scores = scores != nullptr;
     serve::ScoringEngine engine(registry, config);
     const serve::FleetReplayer replayer(*telemetry_);
     const auto report = replayer.replay(engine);
     engine.stop();
+    if (scores != nullptr) *scores = engine.take_scored_rows();
     EXPECT_EQ(report.engine.accepted, replayer.total_records());
     EXPECT_EQ(report.engine.shed, 0u);
     fs::remove_all(dir);
@@ -126,12 +143,15 @@ class ServingParityTest : public ::testing::Test {
   static core::MfpaPipeline* pipeline_;
   static std::vector<core::Alert>* reference_;
   static std::map<std::uint64_t, DayIndex>* windows_;
+  /// Batch score of every (drive, day) inside the comparable windows.
+  static DayScores* reference_scores_;
 };
 
 std::vector<sim::DriveTimeSeries>* ServingParityTest::telemetry_ = nullptr;
 core::MfpaPipeline* ServingParityTest::pipeline_ = nullptr;
 std::vector<core::Alert>* ServingParityTest::reference_ = nullptr;
 std::map<std::uint64_t, DayIndex>* ServingParityTest::windows_ = nullptr;
+DayScores* ServingParityTest::reference_scores_ = nullptr;
 
 TEST_F(ServingParityTest, EngineAlertsMatchBatchReplay) {
   const auto reference = sorted_keys(*reference_);
@@ -144,6 +164,32 @@ TEST_F(ServingParityTest, EngineAlertsMatchBatchReplay) {
     EXPECT_EQ(served[i].day, reference[i].day) << i;
     EXPECT_DOUBLE_EQ(served[i].score, reference[i].score) << i;
   }
+}
+
+TEST_F(ServingParityTest, ServedScoresMatchBatchScores) {
+  // Offline/online agreement below the alert policy: every served score in
+  // the comparable windows, synthetic gap-fill rows included, is the batch
+  // score of the same record, bit for bit.
+  std::vector<serve::ScoredRow> served;
+  serve_alerts(1, &served);
+  std::size_t compared = 0;
+  std::size_t synthetic = 0;
+  for (const auto& row : served) {
+    const auto window = windows_->find(row.drive_id);
+    if (window == windows_->end() || row.day < window->second) continue;
+    const auto ref = reference_scores_->find({row.drive_id, row.day});
+    ASSERT_NE(ref, reference_scores_->end())
+        << "drive " << row.drive_id << " day " << row.day;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(row.score),
+              std::bit_cast<std::uint64_t>(ref->second))
+        << "drive " << row.drive_id << " day " << row.day << ": served "
+        << row.score << ", batch " << ref->second;
+    ++compared;
+    if (row.synthetic) ++synthetic;
+  }
+  // Each batch row was served exactly once.
+  EXPECT_EQ(compared, reference_scores_->size());
+  EXPECT_GT(synthetic, 0u) << "no gap-fill row was compared";
 }
 
 // The registry always compiles models into the flat-forest format, so this

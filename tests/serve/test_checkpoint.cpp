@@ -4,12 +4,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/wire.hpp"
 #include "core/preprocess.hpp"
+#include "core/streaming.hpp"
 #include "ml/checksum.hpp"
 #include "obs/metrics.hpp"
 #include "serve/drive_state_store.hpp"
@@ -95,6 +97,44 @@ constexpr std::size_t kFirstSegmentCountOffset =
 // First record: day i32, synthetic u8, then the u32 firmware length.
 constexpr std::size_t kFirstFirmwareLengthOffset =
     kFirstSegmentCountOffset + 8 + 4 + 1;
+
+// The same field, counted from the start of a bare store image.
+constexpr std::size_t kImageFirstSegmentCountOffset =
+    kFirstSegmentCountOffset - kStoreOffset;
+
+/// True for the days a gappy drive skips: gaps of 2 and 3 days, all filled.
+bool skipped_day(int day) {
+  return day % 7 == 3 || day % 11 == 5 || day % 11 == 6;
+}
+
+/// Feeds drives 3 and 13 their gappy series over days [from, to).
+std::vector<PendingRow> feed_gappy(DriveStateStore& store, int from, int to) {
+  std::vector<PendingRow> rows;
+  for (int day = from; day < to; ++day) {
+    if (skipped_day(day)) continue;
+    for (int d = 0; d < 2; ++d) {
+      store.ingest(static_cast<std::uint64_t>(10 * d + 3), d,
+                   make_record(day, 4.5f + static_cast<float>(d)), rows);
+    }
+  }
+  return rows;
+}
+
+void expect_same_rows(const std::vector<PendingRow>& got,
+                      const std::vector<PendingRow>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].drive_id, want[i].drive_id) << i;
+    EXPECT_EQ(got[i].vendor, want[i].vendor) << i;
+    EXPECT_EQ(got[i].segment, want[i].segment) << i;
+    EXPECT_EQ(got[i].record.day, want[i].record.day) << i;
+    EXPECT_EQ(got[i].record.synthetic, want[i].record.synthetic) << i;
+    EXPECT_EQ(got[i].record.firmware, want[i].record.firmware) << i;
+    EXPECT_EQ(got[i].record.smart, want[i].record.smart) << i;
+    EXPECT_EQ(got[i].record.w_cum, want[i].record.w_cum) << i;
+    EXPECT_EQ(got[i].record.b_cum, want[i].record.b_cum) << i;
+  }
+}
 
 /// Recomputes the header digest so a doctored payload passes the checksum.
 void redigest(std::string& bytes) {
@@ -250,7 +290,7 @@ TEST_F(CheckpointTest, LyingCountsThrowBeforeAllocating) {
   // The offsets below point where the layout says they do.
   ASSERT_EQ(wire::read_u64_at(bytes.data(), kDriveCountOffset), 2u);
   ASSERT_EQ(wire::read_u64_at(bytes.data(), kFirstDiagnosticsCountOffset), 0u);
-  ASSERT_EQ(wire::read_u64_at(bytes.data(), kFirstSegmentCountOffset), 4u);
+  ASSERT_EQ(wire::read_u64_at(bytes.data(), kFirstSegmentCountOffset), 1u);
   ASSERT_EQ(wire::read_u32_at(bytes.data(), kFirstFirmwareLengthOffset),
             core::firmware_version_string(0, 0).size());
   {
@@ -286,6 +326,69 @@ TEST_F(CheckpointTest, LyingCountsThrowBeforeAllocating) {
   doctored = bytes;
   put_at<std::uint32_t>(doctored, kFirstFirmwareLengthOffset, 1u << 20);
   expect_refused(doctored, "firmware length 1 MB");
+}
+
+TEST_F(CheckpointTest, ImageHoldsTheGapFillAnchorAndResumes) {
+  DriveStateStore live(store_config());
+  feed_gappy(live, 0, 30);
+  const fs::path path = dir_ / "ckpt-30.mfc";
+  write_checkpoint_file(path.string(), live, 30, 0, 1, /*fsync=*/false);
+  const std::string bytes = read_bytes(path);
+  EXPECT_EQ(wire::read_u64_at(bytes.data(), kFirstSegmentCountOffset), 1u);
+
+  DriveStateStore restored(store_config());
+  load_into(path.string(), restored);
+  // The restored store continues exactly like the one that never stopped.
+  expect_same_rows(feed_gappy(restored, 30, 45), feed_gappy(live, 30, 45));
+  EXPECT_EQ(store_image(restored), store_image(live));
+}
+
+TEST_F(CheckpointTest, ImageWithSixteenRetainedRecordsResumes) {
+  // Older builds kept the newest 16 records of every emitted drive. The
+  // byte layout is unchanged, so such an image restores and its first
+  // emission compacts it.
+  DriveStateStore reference(store_config());
+  feed_gappy(reference, 0, 30);
+  const StoreStats stats = reference.stats();
+  std::string image;
+  wire::put_u64(image, stats.records_ingested);
+  wire::put_u64(image, stats.rows_emitted);
+  wire::put_u64(image, stats.segments_restarted);
+  wire::put_u64(image, 2);
+  for (int d = 0; d < 2; ++d) {
+    core::StreamingIngestor ingestor(static_cast<std::uint64_t>(10 * d + 3), d);
+    for (int day = 0; day < 30; ++day) {
+      if (!skipped_day(day)) {
+        ingestor.ingest(make_record(day, 4.5f + static_cast<float>(d)));
+      }
+    }
+    ASSERT_GT(ingestor.segment().size(), 16u);
+    ingestor.compact(16);
+    // Drive header: id, vendor, emitted (the whole retained segment),
+    // segments seen, quarantine flag, and the alert registers of a drive
+    // never scored (consecutive, last alert, alert segment).
+    wire::put_u64(image, ingestor.drive_id());
+    wire::put_i32(image, ingestor.vendor());
+    wire::put_u64(image, ingestor.segment().size());
+    wire::put_i32(image, ingestor.segments_started());
+    wire::put_u8(image, 0);
+    wire::put_i32(image, 0);
+    wire::put_i32(image, std::numeric_limits<DayIndex>::min());
+    wire::put_i32(image, 0);
+    ingestor.encode(image);
+  }
+  ASSERT_EQ(wire::read_u64_at(image.data(), kImageFirstSegmentCountOffset),
+            16u);
+
+  DriveStateStore restored(store_config());
+  restored.load_state(image);
+  EXPECT_EQ(store_image(restored), image);  // restores as written
+  expect_same_rows(feed_gappy(restored, 30, 45),
+                   feed_gappy(reference, 30, 45));
+  const std::string compacted = store_image(restored);
+  EXPECT_EQ(compacted, store_image(reference));
+  EXPECT_EQ(wire::read_u64_at(compacted.data(), kImageFirstSegmentCountOffset),
+            1u);
 }
 
 TEST_F(CheckpointTest, EveryCheckpointWriteIsCountedAndTimed) {

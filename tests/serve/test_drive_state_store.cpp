@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "core/streaming.hpp"
+#include "obs/metrics.hpp"
 #include "sim/catalog.hpp"
 
 namespace mfpa::serve {
@@ -76,13 +80,11 @@ TEST(DriveStateStore, LongGapRestartsSegmentAndEmission) {
 }
 
 TEST(DriveStateStore, CumulativeCountersSurviveCompaction) {
-  StoreConfig config = small_config();
-  config.max_records_per_drive = 4;
-  DriveStateStore store(config);
+  DriveStateStore store(small_config());
   std::vector<PendingRow> out;
   for (DayIndex day = 10; day < 40; ++day) store.ingest(7, 0, raw_record(day), out);
-  // Every raw record emitted exactly once despite the retained window being
-  // capped at 4 records.
+  // Every raw record emitted exactly once although the store retains only
+  // the newest record after each emission.
   ASSERT_EQ(out.size(), 30u);
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i].record.day, 10 + static_cast<DayIndex>(i));
@@ -90,6 +92,68 @@ TEST(DriveStateStore, CumulativeCountersSurviveCompaction) {
     // compactions.
     EXPECT_DOUBLE_EQ(out[i].record.w_cum[0], static_cast<double>(i + 1));
   }
+}
+
+TEST(DriveStateStore, EmitsWhatAnUncompactedIngestorProduces) {
+  // 30 days with 2- and 3-day gaps (both filled): the store compacts to the
+  // gap-fill anchor after every emission, yet its rows are exactly what an
+  // ingestor that keeps its whole segment produces.
+  DriveStateStore store(small_config());
+  core::StreamingIngestor reference(7, 1);
+  std::vector<PendingRow> out;
+  std::vector<core::ProcessedRecord> expected;
+  for (DayIndex day = 10; day < 40; ++day) {
+    if (day % 7 == 3 || day % 11 == 5 || day % 11 == 6) continue;
+    const sim::DailyRecord raw = raw_record(day, 100.0f + 3.0f * day);
+    store.ingest(7, 1, raw, out);
+    const auto produced = reference.ingest(raw);
+    expected.insert(expected.end(), produced.begin(), produced.end());
+  }
+  ASSERT_EQ(reference.segment().size(), expected.size());
+  ASSERT_EQ(out.size(), expected.size());
+  std::size_t synthetic = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const core::ProcessedRecord& got = out[i].record;
+    EXPECT_EQ(out[i].drive_id, 7u);
+    EXPECT_EQ(out[i].vendor, 1);
+    EXPECT_EQ(got.day, expected[i].day) << i;
+    EXPECT_EQ(got.synthetic, expected[i].synthetic) << i;
+    EXPECT_EQ(got.firmware, expected[i].firmware) << i;
+    EXPECT_EQ(got.smart, expected[i].smart) << i;
+    EXPECT_EQ(got.w_cum, expected[i].w_cum) << i;
+    EXPECT_EQ(got.b_cum, expected[i].b_cum) << i;
+    if (got.synthetic) ++synthetic;
+  }
+  EXPECT_GE(synthetic, 4u);  // both gap lengths were filled
+}
+
+TEST(DriveStateStore, DrivesTrackedGaugeFollowsLiveStores) {
+  auto isolated = obs::MetricsRegistry::create_isolated();
+  obs::ScopedMetricsOverride scope(*isolated);
+  obs::Gauge& tracked = isolated->gauge("mfpa_store_drives_tracked");
+  std::string image;
+  {
+    DriveStateStore store(small_config());
+    std::vector<PendingRow> out;
+    for (std::uint64_t drive = 0; drive < 5; ++drive) {
+      store.ingest(drive, 0, raw_record(10), out);
+      EXPECT_DOUBLE_EQ(tracked.value(),
+                       static_cast<double>(store.stats().drives_tracked));
+    }
+    store.ingest(3, 0, raw_record(11), out);  // a known drive adds nothing
+    EXPECT_DOUBLE_EQ(tracked.value(), 5.0);
+    store.save_state(image);
+  }
+  EXPECT_DOUBLE_EQ(tracked.value(), 0.0);
+  {
+    // An in-process restart: a second store restores the first one's drives.
+    DriveStateStore restored(small_config());
+    restored.load_state(image);
+    EXPECT_DOUBLE_EQ(tracked.value(),
+                     static_cast<double>(restored.stats().drives_tracked));
+    EXPECT_DOUBLE_EQ(tracked.value(), 5.0);
+  }
+  EXPECT_DOUBLE_EQ(tracked.value(), 0.0);
 }
 
 TEST(DriveStateStore, ShardsAreIndependent) {

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace mfpa::serve {
 namespace {
 namespace fs = std::filesystem;
@@ -262,6 +264,31 @@ TEST_F(WalTest, RotateRetainsFallbackGenerationAndDropsOlder) {
   ASSERT_EQ(tail.size(), 2u);
   EXPECT_EQ(tail.front().lsn, 2u);
   EXPECT_EQ(tail.back().lsn, 3u);
+}
+
+TEST_F(WalTest, FsyncOffSyncsNeitherSegmentsNorDirectory) {
+  // fsync on: one sync per dirty segment at each flush, and one of the wal/
+  // directory per generation opened and per rotation. fsync off: none, the
+  // directory included — a dir fsync still waits for the disk.
+  for (const bool fsync : {true, false}) {
+    SCOPED_TRACE(fsync ? "fsync on" : "fsync off");
+    auto isolated = obs::MetricsRegistry::create_isolated();
+    obs::ScopedMetricsOverride scope(*isolated);
+    WalWriterConfig config = writer_config(1);
+    config.fsync = fsync;
+    {
+      WalWriter writer(config);
+      writer.open_generation(0);                 // directory
+      writer.append(1, 0, make_record(1, 1.0f));
+      writer.rotate(/*ckpt_lsn=*/1, /*keep_from_lsn=*/0);  // segment, dir x2
+      writer.append(2, 0, make_record(2, 1.0f));
+      writer.flush();                            // segment
+    }
+    EXPECT_EQ(isolated->counter("mfpa_wal_fsyncs_total").value(),
+              fsync ? 5u : 0u);
+    EXPECT_EQ(recover_wal(dir_.string(), 0).size(), 2u);
+    fs::remove_all(dir_ / "wal");
+  }
 }
 
 TEST_F(WalTest, AlertLogRoundTripAndTruncation) {
