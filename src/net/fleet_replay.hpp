@@ -2,8 +2,8 @@
 // arrival stream serve::FleetReplayer delivers to a single engine — either
 // in-process (replay_sharded: the `serve-replay --shards=N` path and the
 // alert-parity tests) or over the loopback binary protocol
-// (replay_over_loopback: the `fleet-replay` CLI mode and bench_serving's
-// sharded pass, exercising the full encode → TCP → decode → route chain).
+// (replay_over_loopback: the `fleet-replay` CLI mode, exercising the full
+// encode → TCP → decode → route chain).
 //
 // Resume protocol: each shard recovers independently, so "how much is
 // already durable" is a per-shard count, not a single stream offset. The

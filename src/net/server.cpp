@@ -13,7 +13,6 @@
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace mfpa::net {
 namespace {
@@ -229,12 +228,10 @@ bool IngestServer::drain_connection(Connection& conn) {
         metrics.records->inc();
         break;
       }
-      case MessageType::kFlush: {
-        obs::ScopedSpan span("net.flush");
+      case MessageType::kFlush:
         append_flush_ack_frame(conn.write_buf, msg.seq, sink_->flush_totals());
         metrics.flushes->inc();
         break;
-      }
       case MessageType::kGoodbye:
         return false;  // orderly close, no error accounting
       case MessageType::kFlushAck:

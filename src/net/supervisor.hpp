@@ -1,6 +1,6 @@
 // Child-process supervisor for the multi-process sharded topology.
 //
-// The fleet-replay harness (and bench_serving's multi-process pass) runs
+// The fleet-replay harness (and perfbench's fleet-multiproc workload) runs
 // one `mfpa shard-serve` process per shard. This supervisor owns their
 // lifecycle: fork/exec with stdout+stderr redirected to a per-shard log
 // file, readiness via a port file the child atomically publishes

@@ -213,17 +213,39 @@ RecoveryResult DurabilityManager::recover(DriveStateStore& store,
   auto candidates = list_checkpoints(config_.dir);
   std::optional<CheckpointImage> image;
   std::string failure;
+  // A corrupt newest checkpoint falls back one generation (the WAL keeps
+  // segments that far); anything beyond that is unrecoverable below.
+  const auto skip = [&](const std::exception& e) {
+    ++result.checkpoints_skipped;
+    metrics_.fallbacks->inc();
+    if (failure.empty()) failure = e.what();
+  };
   for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
+    CheckpointImage candidate;
     try {
-      image = load_checkpoint_file(it->second);
-      break;
+      candidate = load_checkpoint_file(it->second);
     } catch (const std::exception& e) {
-      // A corrupt newest checkpoint falls back one generation (the WAL keeps
-      // segments that far); anything beyond that is unrecoverable below.
-      ++result.checkpoints_skipped;
-      metrics_.fallbacks->inc();
-      if (failure.empty()) failure = e.what();
+      skip(e);
+      continue;
     }
+    if (candidate.model_version != current_model_version) {
+      throw std::runtime_error(
+          "checkpoint: pinned to model version " +
+          std::to_string(candidate.model_version) +
+          " but the registry's current version is " +
+          std::to_string(current_model_version) +
+          "; replaying under a different model would fabricate alerts");
+    }
+    try {
+      // All or nothing: a rejected image leaves the store empty for the
+      // next candidate. (A non-empty store is a logic_error and escapes.)
+      store.load_state(candidate.store_state());
+    } catch (const std::runtime_error& e) {
+      skip(e);
+      continue;
+    }
+    image = std::move(candidate);
+    break;
   }
   if (!image.has_value() && !candidates.empty()) {
     throw std::runtime_error(
@@ -236,15 +258,6 @@ RecoveryResult DurabilityManager::recover(DriveStateStore& store,
   std::uint64_t after_lsn = 0;
   std::uint64_t durable_alerts = 0;
   if (image.has_value()) {
-    if (image->model_version != current_model_version) {
-      throw std::runtime_error(
-          "checkpoint: pinned to model version " +
-          std::to_string(image->model_version) +
-          " but the registry's current version is " +
-          std::to_string(current_model_version) +
-          "; replaying under a different model would fabricate alerts");
-    }
-    store.load_state(image->store_state());
     result.checkpoint_loaded = true;
     result.checkpoint_lsn = image->lsn;
     result.model_version = image->model_version;

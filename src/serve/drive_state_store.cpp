@@ -179,28 +179,44 @@ void DriveStateStore::load_state(std::string_view image) {
   shards_[0]->records_ingested = records_ingested;
   shards_[0]->rows_emitted = rows_emitted;
   shards_[0]->segments_restarted = segments_restarted;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t id = r.u64();
-    const int vendor = r.i32();
-    Shard& shard = shard_for(id);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto [it, inserted] =
-        shard.drives.try_emplace(id, id, vendor, config_.preprocess);
-    if (!inserted) {
-      throw std::runtime_error("DriveStateStore: duplicate drive " +
-                               std::to_string(id) + " in checkpoint");
+  std::uint64_t added = 0;
+  try {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t id = r.u64();
+      const int vendor = r.i32();
+      Shard& shard = shard_for(id);
+      std::lock_guard<std::mutex> lock(shard.mu);
+      const auto [it, inserted] =
+          shard.drives.try_emplace(id, id, vendor, config_.preprocess);
+      if (!inserted) {
+        throw std::runtime_error("DriveStateStore: duplicate drive " +
+                                 std::to_string(id) + " in checkpoint");
+      }
+      ++added;
+      metrics_.drives_tracked->add(1.0);
+      DriveState& state = it->second;
+      state.emitted = r.u64();
+      state.segments_seen = r.i32();
+      state.quarantine_counted = r.u8() != 0;
+      state.consecutive = r.i32();
+      state.last_alert = r.i32();
+      state.alert_segment = r.i32();
+      state.ingestor.decode(r);
     }
-    metrics_.drives_tracked->add(1.0);
-    DriveState& state = it->second;
-    state.emitted = r.u64();
-    state.segments_seen = r.i32();
-    state.quarantine_counted = r.u8() != 0;
-    state.consecutive = r.i32();
-    state.last_alert = r.i32();
-    state.alert_segment = r.i32();
-    state.ingestor.decode(r);
+    r.expect_done();
+  } catch (...) {
+    // All or nothing: a rejected image leaves the store empty, so recovery
+    // can fall back to an older checkpoint.
+    for (const auto& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard->mu);
+      shard->drives.clear();
+      shard->records_ingested = 0;
+      shard->rows_emitted = 0;
+      shard->segments_restarted = 0;
+    }
+    metrics_.drives_tracked->add(-static_cast<double>(added));
+    throw;
   }
-  r.expect_done();
 }
 
 StoreStats DriveStateStore::stats() const {

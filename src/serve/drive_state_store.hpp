@@ -118,7 +118,8 @@ class DriveStateStore {
   /// taken with N shards restores correctly under M; it decodes straight
   /// from the caller's bytes, checks every count and length against the
   /// bytes left before allocating, and throws std::runtime_error on a
-  /// malformed image or a duplicate drive. Not thread-safe against
+  /// malformed image or a duplicate drive, leaving the store empty (and
+  /// `mfpa_store_drives_tracked` as it was). Not thread-safe against
   /// concurrent ingest — call from the single drain thread or before start.
   void save_state(std::string& out) const;
   void load_state(std::string_view image);

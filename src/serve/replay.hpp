@@ -2,8 +2,8 @@
 // arrival order (day by day, drive id within a day) the way a production
 // ingestion tier would, measures sustained throughput and latency, and
 // scores the resulting alert stream against the simulator's ground truth.
-// Shared by the `serve-replay` CLI subcommand, bench/bench_serving, and the
-// streaming example.
+// Shared by the `serve-replay` CLI subcommand, perfbench, and the streaming
+// example.
 #pragma once
 
 #include <csignal>

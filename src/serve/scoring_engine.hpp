@@ -24,7 +24,7 @@
 // latency histogram lives in the process-wide obs::MetricsRegistry
 // (mfpa_serve_* families, one label set per engine instance), so the same
 // numbers a fleet operator graphs are exported by `serve-replay
-// --metrics-out`, `mfpa metrics`, and bench/bench_serving. EngineStats is a
+// --metrics-out` and `mfpa metrics`. EngineStats is a
 // point-in-time snapshot of this engine's instruments — the legacy ad-hoc
 // counters were migrated onto the registry without changing the snapshot
 // contract (see docs/OBSERVABILITY.md).

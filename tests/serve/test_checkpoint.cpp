@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,7 +17,11 @@
 #include "ml/checksum.hpp"
 #include "obs/metrics.hpp"
 #include "serve/drive_state_store.hpp"
+#include "serve/model_registry.hpp"
+#include "serve/replay.hpp"
+#include "serve/scoring_engine.hpp"
 #include "serve/wal.hpp"
+#include "sim/fleet.hpp"
 
 namespace mfpa::serve {
 namespace {
@@ -80,6 +86,7 @@ void put_at(std::string& bytes, std::size_t off, T v) {
 // Checkpoint v2 layout (serve/checkpoint.hpp): a 24-byte header, then the
 // payload: lsn u64, alert count u64, model version i32, store image.
 constexpr std::size_t kHeaderBytes = 24;
+constexpr std::size_t kPayloadBytesOffset = 8;
 constexpr std::size_t kDigestOffset = 16;
 constexpr std::size_t kStoreOffset = kHeaderBytes + 8 + 8 + 4;
 // Store image: three u64 counters, then the u64 drive count.
@@ -141,6 +148,43 @@ void redigest(std::string& bytes) {
   put_at<std::uint64_t>(
       bytes, kDigestOffset,
       ml::fnv1a(std::string_view(bytes).substr(kHeaderBytes)));
+}
+
+/// A checkpoint file with its first drive appended a second time. The drive
+/// count, payload length and digest are fixed up, so the file passes every
+/// file-level check and only the store loader can reject it, after it has
+/// decoded every other drive.
+std::string with_first_drive_duplicated(std::string file) {
+  constexpr std::size_t kFirstDrive = kDriveCountOffset + 8;
+  wire::ByteReader r(std::string_view(file).substr(kFirstDrive), "drive");
+  const std::uint64_t id = r.u64();
+  const int vendor = r.i32();
+  r.u64();  // the rest of the 37-byte drive header
+  r.i32();
+  r.u8();
+  r.i32();
+  r.i32();
+  r.i32();
+  core::StreamingIngestor(id, vendor).decode(r);
+  const std::size_t drive_bytes = file.size() - kFirstDrive - r.remaining();
+  wire::ByteReader count(std::string_view(file).substr(kDriveCountOffset),
+                         "drive count");
+  const std::uint64_t drives = count.u64();
+  file += file.substr(kFirstDrive, drive_bytes);
+  put_at<std::uint64_t>(file, kDriveCountOffset, drives + 1);
+  put_at<std::uint64_t>(file, kPayloadBytesOffset, file.size() - kHeaderBytes);
+  redigest(file);
+  return file;
+}
+
+/// One "drive day score" line per alert, scores at round-trip precision.
+std::string alert_bytes(const std::vector<core::Alert>& alerts) {
+  std::ostringstream out;
+  out.precision(17);
+  for (const auto& alert : alerts) {
+    out << alert.drive_id << ' ' << alert.day << ' ' << alert.score << '\n';
+  }
+  return out.str();
 }
 
 /// The full restore path: verify the file, then decode its store image.
@@ -239,6 +283,34 @@ TEST_F(CheckpointTest, DuplicateDriveInImageThrows) {
   put_at<std::uint64_t>(image, drive_count_at, 2);
   DriveStateStore restored(store_config());
   EXPECT_THROW(restored.load_state(image), std::runtime_error);
+}
+
+TEST_F(CheckpointTest, RejectedImageLeavesTheStoreEmpty) {
+  auto isolated = obs::MetricsRegistry::create_isolated();
+  obs::ScopedMetricsOverride scope(*isolated);
+  obs::Gauge& tracked = isolated->gauge("mfpa_store_drives_tracked");
+  DriveStateStore source(store_config());
+  fill_store(source, /*drives=*/4, /*days=*/3);
+  const std::string good = store_image(source);
+  // Every drive a second time (the loader inserts all four, then meets a
+  // duplicate), and a cut inside the last drive.
+  const std::size_t drive_count_at = 3 * 8;
+  std::string doubled = good + good.substr(drive_count_at + 8);
+  put_at<std::uint64_t>(doubled, drive_count_at, 8);
+  const std::string truncated = good.substr(0, good.size() - 5);
+  for (const std::string& bad : {doubled, truncated}) {
+    DriveStateStore restored(store_config());
+    EXPECT_THROW(restored.load_state(bad), std::runtime_error);
+    const StoreStats stats = restored.stats();
+    EXPECT_EQ(stats.drives_tracked, 0u);
+    EXPECT_EQ(stats.records_ingested, 0u);
+    EXPECT_EQ(stats.rows_emitted, 0u);
+    EXPECT_DOUBLE_EQ(tracked.value(), 4.0);  // the source's drives only
+    // The emptied store takes a valid image afterwards.
+    restored.load_state(good);
+    EXPECT_EQ(store_image(restored), good);
+    EXPECT_DOUBLE_EQ(tracked.value(), 8.0);
+  }
 }
 
 TEST_F(CheckpointTest, TextCheckpointFromOlderBuildIsRefused) {
@@ -536,6 +608,63 @@ TEST_F(CheckpointTest, FallsBackToOlderCheckpointWhenNewestIsCorrupt) {
   EXPECT_EQ(recovered.checkpoints_skipped, 1u);
   ASSERT_EQ(recovered.tail.size(), 10u);
   EXPECT_EQ(recovered.durable_records, 20u);
+}
+
+TEST_F(CheckpointTest, FallsBackWhenTheStoreRejectsTheNewestImage) {
+  sim::FleetSimulator fleet(sim::tiny_scenario(7));
+  const auto telemetry = fleet.generate_telemetry();
+  ModelRegistry registry((dir_ / "registry").string());
+  core::MfpaConfig train;
+  train.seed = 7;
+  train_and_publish(registry, train, telemetry, fleet.tickets());
+  const FleetReplayer replayer(telemetry);
+
+  std::string uninterrupted;
+  {
+    ScoringEngine engine(registry, EngineConfig{});
+    uninterrupted = alert_bytes(replayer.replay(engine).alerts);
+  }
+  ASSERT_FALSE(uninterrupted.empty());
+
+  EngineConfig durable;
+  durable.durability = durability_config();
+  durable.durability.checkpoint_interval_records = 3000;
+  {
+    // A clean stop part-way: the shutdown checkpoint is the newest, a
+    // periodic one the older.
+    volatile std::sig_atomic_t cut = 0;
+    const DayIndex cut_day =
+        replayer.first_day() + (replayer.last_day() - replayer.first_day()) / 2;
+    ReplayOptions options;
+    options.on_day = [&](DayIndex day) { cut = day >= cut_day; };
+    options.cancel = &cut;
+    ScoringEngine engine(registry, durable);
+    ASSERT_TRUE(replayer.replay(engine, options).interrupted);
+  }
+  const auto ckpts = list_checkpoints(dir_.string());
+  ASSERT_EQ(ckpts.size(), 2u);
+  const auto& [newest_lsn, newest_path] = ckpts.back();
+  write_bytes(newest_path,
+              with_first_drive_duplicated(read_bytes(newest_path)));
+  ASSERT_NO_THROW(load_checkpoint_file(newest_path));
+
+  auto isolated = obs::MetricsRegistry::create_isolated();
+  obs::ScopedMetricsOverride scope(*isolated);
+  ScoringEngine engine(registry, durable);
+  ASSERT_TRUE(engine.recovery().has_value());
+  const RecoveryResult& recovered = *engine.recovery();
+  EXPECT_TRUE(recovered.checkpoint_loaded);
+  EXPECT_EQ(recovered.checkpoint_lsn, ckpts.front().first);
+  EXPECT_EQ(recovered.checkpoints_skipped, 1u);
+  EXPECT_EQ(isolated->counter("mfpa_ckpt_fallbacks_total").value(), 1u);
+  EXPECT_EQ(engine.durable_resume_records(), newest_lsn);
+
+  ReplayOptions resume;
+  resume.skip_records = engine.durable_resume_records();
+  const ReplayReport report = replayer.replay(engine, resume);
+  EXPECT_EQ(alert_bytes(report.alerts), uninterrupted);
+  EXPECT_DOUBLE_EQ(isolated->gauge("mfpa_store_drives_tracked").value(),
+                   static_cast<double>(report.store.drives_tracked));
 }
 
 TEST_F(CheckpointTest, RefusesWhenEveryCheckpointIsCorrupt) {
