@@ -1,19 +1,22 @@
 // google-benchmark micro-benchmarks for the hot kernels behind Fig. 20:
 // tree-ensemble training/inference (exact vs histogram split paths),
-// feature binning, metric computation, preprocessing throughput, and the
-// CNN_LSTM forward pass. `cmake --build build --target bench_perf` runs the
+// feature binning, metric computation, preprocessing throughput, the
+// CNN_LSTM forward pass, and the record frame's checksum and round trip. `cmake --build build --target bench_perf` runs the
 // suite and records BENCH_ml_kernels.json (see docs/PERFORMANCE.md).
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
+#include "common/wire.hpp"
 #include "core/preprocess.hpp"
 #include "core/sample_builder.hpp"
 #include "data/binned_matrix.hpp"
 #include "data/label_encoder.hpp"
 #include "ml/factory.hpp"
+#include "ml/checksum.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/metrics.hpp"
 #include "ml/simd.hpp"
+#include "net/protocol.hpp"
 #include "sim/fleet.hpp"
 
 namespace {
@@ -265,6 +268,73 @@ void BM_FeatureAssembly(benchmark::State& state) {
                           static_cast<std::int64_t>(records.size()));
 }
 BENCHMARK(BM_FeatureAssembly);
+
+// The two checksums in the tree over one MFNP record frame (173 B) and one
+// `replay-durable` checkpoint (479 KB). range(0): 0 FNV-1a-64 (model
+// artifacts), 1 CRC32C (record frames, dispatched: see wire::crc32c_path).
+void BM_Checksum(benchmark::State& state) {
+  Rng rng(3);
+  std::string bytes(static_cast<std::size_t>(state.range(1)), '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.uniform_int(0, 255));
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      benchmark::DoNotOptimize(ml::fnv1a(bytes));
+    } else {
+      benchmark::DoNotOptimize(wire::crc32c(bytes));
+    }
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+  if (state.range(0) == 1) state.SetLabel(wire::crc32c_path());
+}
+BENCHMARK(BM_Checksum)
+    ->ArgNames({"crc32c", "bytes"})
+    ->Args({0, 173})
+    ->Args({1, 173})
+    ->Args({0, 479 * 1024})
+    ->Args({1, 479 * 1024});
+
+// 256 real telemetry records encoded as MFNP record frames into one send
+// buffer and decoded back, as a shard server receives a batch.
+void BM_RecordFrameRoundTrip(benchmark::State& state) {
+  sim::FleetSimulator fleet(sim::tiny_scenario(1));
+  const auto telemetry = fleet.generate_telemetry();
+  struct Upload {
+    std::uint64_t drive_id;
+    int vendor;
+    const sim::DailyRecord* record;
+  };
+  std::vector<Upload> uploads;
+  for (const auto& drive : telemetry) {
+    for (const auto& rec : drive.records) {
+      if (uploads.size() == 256) break;
+      uploads.push_back({drive.drive_id, drive.vendor, &rec});
+    }
+  }
+  std::string buf;
+  net::FrameDecoder decoder;
+  net::NetMessage msg;
+  std::uint64_t seq = 0;
+  for (auto _ : state) {
+    buf.clear();
+    for (const Upload& u : uploads) {
+      net::append_record_frame(buf, ++seq, u.drive_id, u.vendor, *u.record);
+    }
+    decoder.feed(buf.data(), buf.size());
+    std::size_t decoded = 0;
+    while (decoder.next(msg) == net::FrameDecoder::Status::kMessage) {
+      ++decoded;
+    }
+    if (decoded != uploads.size()) {
+      state.SkipWithError("round trip lost records");
+      break;
+    }
+    benchmark::DoNotOptimize(msg);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(uploads.size()));
+}
+BENCHMARK(BM_RecordFrameRoundTrip);
 
 void BM_TelemetryGeneration(benchmark::State& state) {
   for (auto _ : state) {

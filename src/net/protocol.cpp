@@ -1,55 +1,38 @@
 #include "net/protocol.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string_view>
 
 #include "common/wire.hpp"
-#include "ml/checksum.hpp"
 #include "serve/wal.hpp"
 
 namespace mfpa::net {
-namespace {
-
-/// Frames `payload` under `seq` with the shared digest-over-(size, seq,
-/// payload) layout. The digest region starts at the size field, exactly
-/// like a WAL frame — only the magic differs.
-void append_net_frame(std::string& buf, std::uint64_t seq,
-                      std::string_view payload) {
-  const std::size_t body_start = buf.size() + 4;
-  wire::put_u32(buf, kNetFrameMagic);
-  wire::put_u32(buf, static_cast<std::uint32_t>(payload.size()));
-  wire::put_u64(buf, seq);
-  buf.append(payload);
-  const std::uint64_t digest = ml::fnv1a(
-      std::string_view(buf.data() + body_start, buf.size() - body_start));
-  wire::put_u64(buf, digest);
-}
-
-}  // namespace
 
 void append_record_frame(std::string& buf, std::uint64_t seq,
                          std::uint64_t drive_id, int vendor,
                          const sim::DailyRecord& record) {
-  std::string payload;
-  payload.push_back(static_cast<char>(MessageType::kRecord));
-  payload += serve::encode_wal_payload(drive_id, vendor, record);
-  append_net_frame(buf, seq, payload);
+  wire::append_frame(buf, kNetFrameMagic, seq, [&](std::string& out) {
+    wire::put_u8(out, static_cast<std::uint8_t>(MessageType::kRecord));
+    serve::append_wal_payload(out, drive_id, vendor, record);
+  });
 }
 
 void append_control_frame(std::string& buf, std::uint64_t seq,
                           MessageType type) {
-  const char payload[1] = {static_cast<char>(type)};
-  append_net_frame(buf, seq, std::string_view(payload, 1));
+  wire::append_frame(buf, kNetFrameMagic, seq, [type](std::string& out) {
+    wire::put_u8(out, static_cast<std::uint8_t>(type));
+  });
 }
 
 void append_flush_ack_frame(std::string& buf, std::uint64_t seq,
                             const FlushAck& ack) {
-  std::string payload;
-  payload.push_back(static_cast<char>(MessageType::kFlushAck));
-  wire::put_u64(payload, ack.records_processed);
-  wire::put_u64(payload, ack.alerts);
-  wire::put_u64(payload, ack.shed);
-  append_net_frame(buf, seq, payload);
+  wire::append_frame(buf, kNetFrameMagic, seq, [&](std::string& out) {
+    wire::put_u8(out, static_cast<std::uint8_t>(MessageType::kFlushAck));
+    wire::put_u64(out, ack.records_processed);
+    wire::put_u64(out, ack.alerts);
+    wire::put_u64(out, ack.shed);
+  });
 }
 
 void append_hello_frame(std::string& buf, std::uint64_t seq, MessageType type,
@@ -58,12 +41,12 @@ void append_hello_frame(std::string& buf, std::uint64_t seq, MessageType type,
     throw std::invalid_argument(
         "append_hello_frame: type must be kHello or kHelloAck");
   }
-  std::string payload;
-  payload.push_back(static_cast<char>(type));
-  wire::put_u32(payload, hello.shard_index);
-  wire::put_u32(payload, hello.shard_count);
-  wire::put_u32(payload, hello.model_version);
-  append_net_frame(buf, seq, payload);
+  wire::append_frame(buf, kNetFrameMagic, seq, [&](std::string& out) {
+    wire::put_u8(out, static_cast<std::uint8_t>(type));
+    wire::put_u32(out, hello.shard_index);
+    wire::put_u32(out, hello.shard_count);
+    wire::put_u32(out, hello.model_version);
+  });
 }
 
 const char* Hello::mismatch(const Hello& server) const noexcept {
@@ -108,47 +91,40 @@ void FrameDecoder::feed(const char* data, std::size_t n) {
 
 FrameDecoder::Status FrameDecoder::next(NetMessage& out) {
   if (error_ != DecodeError::kNone) return Status::kError;
-  const std::size_t avail = buf_.size() - off_;
-  if (avail < kNetFrameHeaderBytes) return Status::kNeedMore;
-  if (wire::read_u32_at(buf_.data(), off_) != kNetFrameMagic) {
-    error_ = DecodeError::kBadMagic;
-    return Status::kError;
-  }
-  const std::uint32_t size = wire::read_u32_at(buf_.data(), off_ + 4);
   // The length field is validated from the header alone: a hostile or
   // corrupt size never causes a proportional allocation — the buffer only
   // ever holds bytes the peer actually sent.
-  if (size > max_payload_) {
-    error_ = DecodeError::kOversized;
-    return Status::kError;
+  wire::Frame frame;
+  const auto max_payload = static_cast<std::uint32_t>(
+      std::min<std::size_t>(max_payload_, 0xFFFFFFFFU));
+  switch (wire::read_frame(std::string_view(buf_).substr(off_), kNetFrameMagic,
+                           max_payload, frame)) {
+    case wire::FrameStatus::kOk: break;
+    case wire::FrameStatus::kNeedMore: return Status::kNeedMore;
+    case wire::FrameStatus::kBadMagic: error_ = DecodeError::kBadMagic; break;
+    case wire::FrameStatus::kOversized: error_ = DecodeError::kOversized; break;
+    case wire::FrameStatus::kBadChecksum:
+      error_ = DecodeError::kBadDigest;
+      break;
   }
-  const std::size_t total = kNetFrameHeaderBytes + size + kNetFrameDigestBytes;
-  if (avail < total) return Status::kNeedMore;
-  const std::uint64_t want =
-      wire::read_u64_at(buf_.data(), off_ + kNetFrameHeaderBytes + size);
-  const std::uint64_t got = ml::fnv1a(
-      std::string_view(buf_.data() + off_ + 4, 4 + 8 + size));
-  if (want != got) {
-    error_ = DecodeError::kBadDigest;
-    return Status::kError;
-  }
-  const std::uint64_t seq = wire::read_u64_at(buf_.data(), off_ + 8);
-  const std::string payload = buf_.substr(off_ + kNetFrameHeaderBytes, size);
-  off_ += total;
+  if (error_ != DecodeError::kNone) return Status::kError;
+  off_ += frame.bytes;
 
+  // The payload views buf_, which stays untouched until the next feed().
+  const std::string_view payload = frame.payload;
   if (payload.empty()) {
     error_ = DecodeError::kBadMessage;
     return Status::kError;
   }
   out = NetMessage{};
-  out.seq = seq;
+  out.seq = frame.seq;
   const auto type = static_cast<MessageType>(
       static_cast<std::uint8_t>(payload[0]));
-  const std::string body = payload.substr(1);
+  const std::string_view body = payload.substr(1);
   try {
     switch (type) {
       case MessageType::kRecord: {
-        const serve::WalEntry entry = serve::decode_wal_payload(seq, body);
+        const serve::WalEntry entry = serve::decode_wal_payload(frame.seq, body);
         out.type = MessageType::kRecord;
         out.drive_id = entry.drive_id;
         out.vendor = entry.vendor;
@@ -182,7 +158,7 @@ FrameDecoder::Status FrameDecoder::next(NetMessage& out) {
       }
     }
   } catch (const std::runtime_error&) {
-    // Fall through: short/overlong body under a valid digest.
+    // Fall through: short/overlong body under a valid checksum.
   }
   error_ = DecodeError::kBadMessage;
   return Status::kError;

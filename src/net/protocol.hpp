@@ -1,18 +1,20 @@
 // Binary ingestion protocol for the sharded scoring service.
 //
-// The wire format applies the tree's FNV-1a framing conventions (the
-// ml/serialize v2 artifact framing and the serve/wal segment frames) to a
-// TCP byte stream:
+// The wire format is the common/wire.hpp record frame (shared with the WAL
+// segments, the alert log and the checkpoint file) under its own magic:
 //
-//   u32 magic   "MFNP"            marks a frame boundary
+//   u32 magic   "MFN2"            marks a frame boundary
 //   u32 size    payload bytes
 //   u64 seq     sender-assigned sequence number (1-based, diagnostics)
 //   u8  payload[size]             first byte = message type
-//   u64 digest  FNV-1a 64 over (size, seq, payload)
+//   u32 crc     CRC32C over (size, seq, payload)
+//
+// Peers from builds before this frame version send "MFNP" frames with an
+// FNV-1a-64 digest; their first frame (kHello) fails with bad_magic.
 //
 // Message types:
 //   kRecord    one drive's daily telemetry upload; body is the exact
-//              serve/wal record payload (encode_wal_payload), so the wire
+//              serve/wal record payload (append_wal_payload), so the wire
 //              and the durable log share one record serialization.
 //   kFlush     barrier: the client asks the server to drain everything
 //              received so far and reply with kFlushAck.
@@ -34,7 +36,7 @@
 //
 // Unlike the WAL's file scan there is no resync: TCP already guarantees
 // ordered delivery, so any framing violation (bad magic, oversized length,
-// digest mismatch, malformed message body) means the stream itself is
+// checksum mismatch, malformed message body) means the stream itself is
 // corrupt or hostile — the decoder latches the error and the server closes
 // the connection with per-kind error accounting (mfpa_net_protocol_errors).
 // An oversized length field is rejected from the 16-byte header alone,
@@ -45,15 +47,15 @@
 #include <cstdint>
 #include <string>
 
+#include "common/wire.hpp"
 #include "sim/telemetry.hpp"
 
 namespace mfpa::net {
 
-inline constexpr std::uint32_t kNetFrameMagic = 0x504E464DU;  // "MFNP"
+inline constexpr std::uint32_t kNetFrameMagic = 0x324E464DU;  // "MFN2"
 
-/// Frame overhead: magic + size + seq header, trailing digest.
-inline constexpr std::size_t kNetFrameHeaderBytes = 4 + 4 + 8;
-inline constexpr std::size_t kNetFrameDigestBytes = 8;
+/// Frame header: magic + size + seq (the CRC32C trailer follows the payload).
+inline constexpr std::size_t kNetFrameHeaderBytes = wire::kFrameHeaderBytes;
 
 /// Hard payload bound. A record payload is ~150 bytes and control bodies
 /// are smaller still; anything claiming more is a corrupt or hostile
@@ -132,10 +134,10 @@ void append_hello_frame(std::string& buf, std::uint64_t seq, MessageType type,
 /// (mfpa_net_protocol_errors_total{kind=...}); see error_name().
 enum class DecodeError {
   kNone = 0,
-  kBadMagic,     ///< frame boundary does not start with "MFNP"
+  kBadMagic,     ///< frame boundary does not start with kNetFrameMagic
   kOversized,    ///< length field exceeds kMaxNetPayload (checked pre-buffer)
-  kBadDigest,    ///< checksum mismatch (bit flip in header or payload)
-  kBadMessage,   ///< digest-valid frame with a malformed message body
+  kBadDigest,    ///< CRC32C mismatch (bit flip in header or payload)
+  kBadMessage,   ///< checksum-valid frame with a malformed message body
 };
 
 const char* error_name(DecodeError error) noexcept;

@@ -19,12 +19,12 @@
 // fails fast instead of feeding the wrong shard's state. With
 // `require_hello` (the per-shard server processes), any other message
 // before a successful handshake also closes the connection. Results are
-// counted in mfpa_net_handshakes_total{result=...}; a digest-valid kRecord
+// counted in mfpa_net_handshakes_total{result=...}; a checksum-valid kRecord
 // for a drive outside the sink's owned slice bumps
 // mfpa_net_misrouted_records_total and closes the connection before any
 // state is touched.
 //
-// Protocol errors (bad magic, oversized length, digest mismatch, malformed
+// Protocol errors (bad magic, oversized length, checksum mismatch, malformed
 // body) latch the connection's decoder, bump
 // mfpa_net_protocol_errors_total{kind=...}, and close that connection —
 // other connections and the engines are unaffected.

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "common/wire.hpp"
-#include "ml/checksum.hpp"
 
 namespace mfpa::serve {
 namespace fs = std::filesystem;
@@ -41,9 +40,9 @@ std::optional<std::uint64_t> parse_ckpt_name(const std::string& name) {
 }
 
 constexpr std::uint32_t kCheckpointMagic = 0x4B43464DU;  // "MFCK"
-constexpr std::uint32_t kCheckpointVersion = 2;
-// magic, version, payload length, digest
-constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;
+constexpr std::uint32_t kCheckpointVersion = 3;
+constexpr std::uint32_t kCheckpointFrameMagic = 0x5343464DU;  // "MFCS"
+constexpr std::size_t kFileHeaderBytes = 4 + 4;  // magic, version
 
 void fsync_path(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -58,16 +57,14 @@ std::size_t write_checkpoint_file(const std::string& path,
                                   const DriveStateStore& store,
                                   std::uint64_t lsn, std::uint64_t alert_count,
                                   int model_version, bool fsync) {
-  std::string payload;
-  wire::put_u64(payload, lsn);
-  wire::put_u64(payload, alert_count);
-  wire::put_i32(payload, model_version);
-  store.save_state(payload);
-  std::string header;
-  wire::put_u32(header, kCheckpointMagic);
-  wire::put_u32(header, kCheckpointVersion);
-  wire::put_u64(header, payload.size());
-  wire::put_u64(header, ml::fnv1a(payload));
+  std::string file;
+  wire::put_u32(file, kCheckpointMagic);
+  wire::put_u32(file, kCheckpointVersion);
+  wire::append_frame(file, kCheckpointFrameMagic, lsn, [&](std::string& out) {
+    wire::put_u64(out, alert_count);
+    wire::put_i32(out, model_version);
+    store.save_state(out);
+  });
 
   const fs::path final_path(path);
   const fs::path tmp = final_path.parent_path() /
@@ -77,8 +74,7 @@ std::size_t write_checkpoint_file(const std::string& path,
     if (!out) {
       throw std::runtime_error("checkpoint: cannot create " + tmp.string());
     }
-    out.write(header.data(), static_cast<std::streamsize>(header.size()));
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    out.write(file.data(), static_cast<std::streamsize>(file.size()));
     out.flush();
     if (!out) {
       throw std::runtime_error("checkpoint: write failed for " + tmp.string());
@@ -92,7 +88,7 @@ std::size_t write_checkpoint_file(const std::string& path,
                              ec.message());
   }
   if (fsync) fsync_path(final_path.parent_path().string());
-  return header.size() + payload.size();
+  return file.size();
 }
 
 CheckpointImage load_checkpoint_file(const std::string& path) {
@@ -118,10 +114,11 @@ CheckpointImage load_checkpoint_file(const std::string& path) {
     throw std::runtime_error(
         "checkpoint: unsupported checkpoint version 1 (text) in " + path);
   }
-  if (bytes.size() < kHeaderBytes) {
+  if (bytes.size() < kFileHeaderBytes) {
     throw std::runtime_error("checkpoint: truncated header in " + path);
   }
-  wire::ByteReader header(bytes.substr(0, kHeaderBytes), "checkpoint header");
+  wire::ByteReader header(bytes.substr(0, kFileHeaderBytes),
+                          "checkpoint header");
   if (header.u32() != kCheckpointMagic) {
     throw std::runtime_error("checkpoint: bad magic in " + path);
   }
@@ -130,24 +127,32 @@ CheckpointImage load_checkpoint_file(const std::string& path) {
     throw std::runtime_error("checkpoint: unsupported checkpoint version " +
                              std::to_string(version) + " in " + path);
   }
-  const std::uint64_t payload_bytes = header.u64();
-  const std::uint64_t digest = header.u64();
-  const std::string_view payload = bytes.substr(kHeaderBytes);
-  if (payload.size() != payload_bytes) {
-    throw std::runtime_error(
-        "checkpoint: " + path + " holds " + std::to_string(payload.size()) +
-        " payload bytes, header declares " + std::to_string(payload_bytes) +
-        " (truncated or trailing garbage)");
+  const std::string_view framed = bytes.substr(kFileHeaderBytes);
+  wire::Frame frame;
+  switch (wire::read_frame(framed, kCheckpointFrameMagic, 0xFFFFFFFFU, frame)) {
+    case wire::FrameStatus::kOk:
+      break;
+    case wire::FrameStatus::kNeedMore:
+      throw std::runtime_error("checkpoint: " + path +
+                               " is shorter than its header declares");
+    case wire::FrameStatus::kBadMagic:
+      throw std::runtime_error("checkpoint: bad frame magic in " + path);
+    case wire::FrameStatus::kOversized:  // no bound is set: unreachable
+    case wire::FrameStatus::kBadChecksum:
+      throw std::runtime_error("checkpoint: checksum mismatch in " + path);
   }
-  if (ml::fnv1a(payload) != digest) {
-    throw std::runtime_error("checkpoint: payload checksum mismatch in " +
-                             path);
+  if (frame.bytes != framed.size()) {
+    throw std::runtime_error("checkpoint: " + path + " holds " +
+                             std::to_string(framed.size() - frame.bytes) +
+                             " bytes past its frame (trailing garbage)");
   }
-  wire::ByteReader r(payload, "checkpoint payload");
-  image.lsn = r.u64();
+  wire::ByteReader r(frame.payload, "checkpoint payload");
+  image.lsn = frame.seq;
   image.alert_count = r.u64();
   image.model_version = r.i32();
-  image.store_offset = kHeaderBytes + (payload.size() - r.remaining());
+  image.store_size = r.remaining();
+  image.store_offset = kFileHeaderBytes + wire::kFrameHeaderBytes +
+                       (frame.payload.size() - image.store_size);
   return image;
 }
 

@@ -4,22 +4,29 @@
 // A checkpoint is a point-in-time snapshot of the DriveStateStore (every
 // ingestor window, emission cursor, and alert-hysteresis register) plus the
 // WAL position and durable-alert count it corresponds to, written as one
-// binary little-endian file in the common/wire.hpp format family (version 2):
+// binary little-endian file (version 3): an 8-byte file header, then one
+// common/wire.hpp record frame, the same frame the WAL and MFNP use.
 //
 //   offset  size  field
 //   0       4     magic "MFCK" (u32 0x4B43464D)
-//   4       4     version, u32 = 2
-//   8       8     payload length in bytes, u64
-//   16      8     FNV-1a-64 of the payload, u64
-//   24      8     payload: WAL lsn the snapshot covers, u64
-//   32      8     payload: durable alert count, u64
-//   40      4     payload: pinned model version, i32
-//   44      ...   payload: DriveStateStore::save_state image
+//   4       4     version, u32 = 3
+//   8       4     frame magic "MFCS" (u32 0x5343464D)
+//   12      4     frame payload size in bytes, u32
+//   16      8     frame seq: WAL lsn the snapshot covers, u64
+//   24      8     payload: durable alert count, u64
+//   32      4     payload: pinned model version, i32
+//   36      ...   payload: DriveStateStore::save_state image
+//   end-4   4     CRC32C over bytes 12 .. end-4, u32
+//
+// The frame's u32 size field bounds the payload at 4 GiB, a deliberate
+// limit of version 3: a larger store image makes write_checkpoint_file throw
+// std::runtime_error before any file is created.
 //
 // Doubles in the store image are raw f64 bits, so a restored store
-// continues bit-identically. A version-1 text checkpoint ("mfpa_ckpt 1 ...",
-// written by older builds) is refused as an unsupported version, which
-// recovery treats like any corrupt candidate.
+// continues bit-identically. Files from older builds are refused as an
+// unsupported version — version 2 (FNV-1a-64 header) and version 1 text
+// ("mfpa_ckpt 1 ...") alike — which recovery treats like any corrupt
+// candidate, so a directory holding only those refuses to resume.
 //
 // Files live under `<dir>/ckpt/ckpt-<lsn>.mfc`, written dot-temp + fsync +
 // rename (the model-registry publish idiom), and the two newest are
@@ -28,7 +35,7 @@
 // fallback replays a longer tail instead of losing records.
 //
 // Recovery contract (proved by tests/integration/test_durable_replay):
-// newest digest-valid checkpoint -> store; alert log truncated to the
+// newest checksum-valid checkpoint -> store; alert log truncated to the
 // pinned count; WAL tail after the checkpoint LSN re-applied through the
 // normal scoring path. The result is byte-identical alerts to a run that
 // never crashed. A checkpoint whose model version differs from the
@@ -87,7 +94,7 @@ std::size_t write_checkpoint_file(const std::string& path,
                                   std::uint64_t lsn, std::uint64_t alert_count,
                                   int model_version, bool fsync);
 
-/// Parsed checkpoint header (payload already digest-verified). Holds the
+/// Parsed checkpoint header (payload already checksum-verified). Holds the
 /// whole file; the store image is a view into it, so it is decoded without
 /// a copy.
 struct CheckpointImage {
@@ -96,16 +103,17 @@ struct CheckpointImage {
   int model_version = -1;
   std::string file;              ///< the checkpoint file's bytes
   std::size_t store_offset = 0;  ///< where the store image starts in `file`
+  std::size_t store_size = 0;    ///< its length (the frame checksum follows)
 
   /// The DriveStateStore::save_state image.
   std::string_view store_state() const {
-    return std::string_view(file).substr(store_offset);
+    return std::string_view(file).substr(store_offset, store_size);
   }
 };
 
 /// Loads and verifies one checkpoint file. Throws std::runtime_error on a
-/// missing file, bad magic, an unsupported version (v1 text included),
-/// byte-count mismatch, or digest mismatch.
+/// missing file, bad magic, an unsupported version (v1 text and v2
+/// included), byte-count mismatch, or checksum mismatch.
 CheckpointImage load_checkpoint_file(const std::string& path);
 
 /// Checkpoint files under `<dir>/ckpt`, sorted by LSN ascending.
@@ -123,7 +131,7 @@ class DurabilityManager {
 
   const DurabilityConfig& config() const noexcept { return config_; }
 
-  /// Phase one of startup: loads the newest digest-valid checkpoint into
+  /// Phase one of startup: loads the newest checksum-valid checkpoint into
   /// `store` (which must be empty), truncates the alert log to the pinned
   /// count, and collects the WAL tail to re-apply. `current_model_version`
   /// is the registry's active version; a checkpoint pinned to a different

@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "common/wire.hpp"
-#include "ml/checksum.hpp"
 #include "serve/drive_state_store.hpp"
 
 namespace mfpa::serve {
@@ -20,56 +19,32 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// Little-endian fixed-width packing shared with every binary format in the
-// tree (see common/wire.hpp — extracted from here when net/protocol adopted
-// the same framing conventions).
-using wire::ByteReader;
-using wire::put_f32;
-using wire::put_f64;
-using wire::put_i32;
-using wire::put_u16;
-using wire::put_u32;
-using wire::put_u64;
-
-constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8;  // magic, size, lsn
-constexpr std::size_t kFrameDigestBytes = 8;
 constexpr std::uint32_t kMaxFramePayload = 1u << 24;  // sanity bound
 
-/// Tries to decode a frame at `off`; returns nullopt when the bytes there
-/// are not a complete, digest-valid frame.
-std::optional<DecodedFrame> try_frame_at(const std::string& bytes,
+/// The frame at `off`, or nullopt when the bytes there are not a complete,
+/// checksum-valid WAL frame.
+std::optional<DecodedFrame> try_frame_at(std::string_view bytes,
                                          std::size_t off) {
-  if (off + kFrameHeaderBytes + kFrameDigestBytes > bytes.size()) {
+  wire::Frame frame;
+  if (wire::read_frame(bytes.substr(off), kWalFrameMagic, kMaxFramePayload,
+                       frame) != wire::FrameStatus::kOk) {
     return std::nullopt;
   }
-  if (wire::read_u32_at(bytes.data(), off) != kWalFrameMagic) {
-    return std::nullopt;
-  }
-  const std::uint32_t size = wire::read_u32_at(bytes.data(), off + 4);
-  if (size > kMaxFramePayload) return std::nullopt;
-  const std::size_t total = kFrameHeaderBytes + size + kFrameDigestBytes;
-  if (off + total > bytes.size()) return std::nullopt;
-  // Digest covers (size, lsn, payload) — everything after the magic.
-  const std::uint64_t want =
-      wire::read_u64_at(bytes.data(), off + kFrameHeaderBytes + size);
-  const std::uint64_t got = ml::fnv1a(
-      std::string_view(bytes.data() + off + 4, 4 + 8 + size));
-  if (want != got) return std::nullopt;
-  DecodedFrame frame;
-  frame.lsn = wire::read_u64_at(bytes.data(), off + 8);
-  frame.payload = bytes.substr(off + kFrameHeaderBytes, size);
-  frame.digest = want;
-  frame.end_offset = off + total;
-  return frame;
+  return DecodedFrame{frame.seq, frame.payload, off + frame.bytes};
 }
 
-std::string read_whole_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
+std::vector<char> read_whole_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
   if (!f) {
     throw std::runtime_error("wal: cannot open " + path);
   }
-  std::string bytes((std::istreambuf_iterator<char>(f)),
-                    std::istreambuf_iterator<char>());
+  const std::streamoff size = f.tellg();
+  std::vector<char> bytes(size > 0 ? static_cast<std::size_t>(size) : 0);
+  f.seekg(0);
+  if (size < 0 ||
+      !f.read(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
+    throw std::runtime_error("wal: cannot read " + path);
+  }
   return bytes;
 }
 
@@ -113,28 +88,17 @@ std::optional<std::pair<std::size_t, std::uint64_t>> parse_segment_name(
 
 }  // namespace
 
-void append_frame(std::string& buf, std::uint64_t lsn,
-                  const std::string& payload) {
-  const std::size_t body_start = buf.size() + 4;  // digest region starts here
-  put_u32(buf, kWalFrameMagic);
-  put_u32(buf, static_cast<std::uint32_t>(payload.size()));
-  put_u64(buf, lsn);
-  buf.append(payload);
-  const std::uint64_t digest = ml::fnv1a(
-      std::string_view(buf.data() + body_start, buf.size() - body_start));
-  put_u64(buf, digest);
-}
-
 FrameScan scan_frames(const std::string& path) {
-  const std::string bytes = read_whole_file(path);
   FrameScan scan;
+  scan.bytes = read_whole_file(path);
+  const std::string_view bytes(scan.bytes.data(), scan.bytes.size());
   std::size_t off = 0;
   while (off < bytes.size()) {
     auto frame = try_frame_at(bytes, off);
     if (frame.has_value()) {
       off = frame->end_offset;
       scan.valid_bytes = off;
-      scan.frames.push_back(std::move(*frame));
+      scan.frames.push_back(*frame);
       continue;
     }
     // Corrupt or incomplete bytes at `off`. If any complete valid frame
@@ -154,23 +118,19 @@ FrameScan scan_frames(const std::string& path) {
   return scan;
 }
 
-std::string encode_wal_payload(std::uint64_t drive_id, int vendor,
-                               const sim::DailyRecord& record) {
-  std::string buf;
-  buf.reserve(8 + 4 + 4 + 4 + sim::kNumSmartAttrs * 4 +
-              sim::kNumWindowsEvents * 2 + sim::kNumBsodCodes * 2);
-  put_u64(buf, drive_id);
-  put_i32(buf, vendor);
-  put_i32(buf, record.day);
-  put_u32(buf, record.firmware_index);
-  for (const float v : record.smart) put_f32(buf, v);
-  for (const std::uint16_t v : record.w) put_u16(buf, v);
-  for (const std::uint16_t v : record.b) put_u16(buf, v);
-  return buf;
+void append_wal_payload(std::string& buf, std::uint64_t drive_id, int vendor,
+                        const sim::DailyRecord& record) {
+  wire::put_u64(buf, drive_id);
+  wire::put_i32(buf, vendor);
+  wire::put_i32(buf, record.day);
+  wire::put_u32(buf, record.firmware_index);
+  wire::put_f32s(buf, record.smart);
+  wire::put_u16s(buf, record.w);
+  wire::put_u16s(buf, record.b);
 }
 
-WalEntry decode_wal_payload(std::uint64_t lsn, const std::string& payload) {
-  ByteReader r(payload, "wal record");
+WalEntry decode_wal_payload(std::uint64_t lsn, std::string_view payload) {
+  wire::ByteReader r(payload, "wal record");
   WalEntry entry;
   entry.lsn = lsn;
   entry.drive_id = r.u64();
@@ -184,16 +144,14 @@ WalEntry decode_wal_payload(std::uint64_t lsn, const std::string& payload) {
   return entry;
 }
 
-std::string encode_alert_payload(const core::Alert& alert) {
-  std::string buf;
-  put_u64(buf, alert.drive_id);
-  put_i32(buf, alert.day);
-  put_f64(buf, alert.score);
-  return buf;
+void append_alert_payload(std::string& buf, const core::Alert& alert) {
+  wire::put_u64(buf, alert.drive_id);
+  wire::put_i32(buf, alert.day);
+  wire::put_f64(buf, alert.score);
 }
 
-core::Alert decode_alert_payload(const std::string& payload) {
-  ByteReader r(payload, "alert record");
+core::Alert decode_alert_payload(std::string_view payload) {
+  wire::ByteReader r(payload, "alert record");
   core::Alert alert;
   alert.drive_id = r.u64();
   alert.day = r.i32();
@@ -256,7 +214,9 @@ std::uint64_t WalWriter::append(std::uint64_t drive_id, int vendor,
   // records stay within one segment file.
   Segment& seg = segments_[drive_shard(drive_id, segments_.size())];
   const std::size_t before = seg.pending.size();
-  append_frame(seg.pending, lsn, encode_wal_payload(drive_id, vendor, record));
+  wire::append_frame(seg.pending, kWalFrameMagic, lsn, [&](std::string& buf) {
+    append_wal_payload(buf, drive_id, vendor, record);
+  });
   metrics_.appends->inc();
   metrics_.bytes->inc(seg.pending.size() - before);
   ++unsynced_records_;
@@ -336,11 +296,12 @@ std::vector<WalEntry> recover_wal(const std::string& dir,
   WalRecoveryStats& st = stats ? *stats : local;
   const fs::path wal_dir = fs::path(dir) / "wal";
 
+  // The segments' bytes stay in `scans` until the tail is decoded; the
+  // merge only holds views into them.
+  std::vector<FrameScan> scans;
   struct PendingFrame {
     std::uint64_t lsn;
-    std::uint64_t digest;
-    std::string payload;
-    std::string file;
+    std::string_view payload;
   };
   std::vector<PendingFrame> merged;
 
@@ -357,21 +318,22 @@ std::vector<WalEntry> recover_wal(const std::string& dir,
           {{parsed->second, parsed->first}, entry.path().string()});
     }
     std::sort(files.begin(), files.end());
+    scans.reserve(files.size());
 
-    // lsn -> digest of every frame accepted into the merge so far; an
+    // lsn -> payload of every frame accepted into the merge so far; an
     // in-file LSN regression is legal only as an exact replay of one of
     // these (a duplicated segment), never as new bytes.
-    std::unordered_map<std::uint64_t, std::uint64_t> seen;
+    std::unordered_map<std::uint64_t, std::string_view> seen;
     for (const auto& [key, path] : files) {
       ++st.segments_scanned;
-      FrameScan scan = scan_frames(path);
+      const FrameScan& scan = scans.emplace_back(scan_frames(path));
       if (scan.torn_tail) ++st.torn_tails;
       std::uint64_t last_in_file = 0;
       bool any_in_file = false;
-      for (auto& frame : scan.frames) {
+      for (const DecodedFrame& frame : scan.frames) {
         if (any_in_file && frame.lsn <= last_in_file) {
           const auto it = seen.find(frame.lsn);
-          if (it == seen.end() || it->second != frame.digest) {
+          if (it == seen.end() || it->second != frame.payload) {
             throw std::runtime_error(
                 "wal: LSN regression in " + path + " (lsn " +
                 std::to_string(frame.lsn) + " after " +
@@ -385,7 +347,7 @@ std::vector<WalEntry> recover_wal(const std::string& dir,
         last_in_file = frame.lsn;
         const auto it = seen.find(frame.lsn);
         if (it != seen.end()) {
-          if (it->second != frame.digest) {
+          if (it->second != frame.payload) {
             throw std::runtime_error(
                 "wal: conflicting frames for lsn " + std::to_string(frame.lsn) +
                 " (latest in " + path + "); refusing to recover");
@@ -393,9 +355,8 @@ std::vector<WalEntry> recover_wal(const std::string& dir,
           ++st.records_skipped_duplicate;
           continue;
         }
-        seen.emplace(frame.lsn, frame.digest);
-        merged.push_back(
-            {frame.lsn, frame.digest, std::move(frame.payload), path});
+        seen.emplace(frame.lsn, frame.payload);
+        merged.push_back({frame.lsn, frame.payload});
       }
     }
   }
@@ -408,7 +369,7 @@ std::vector<WalEntry> recover_wal(const std::string& dir,
   std::vector<WalEntry> tail;
   std::uint64_t expected = after_lsn + 1;
   for (std::size_t i = 0; i < merged.size(); ++i) {
-    PendingFrame& frame = merged[i];
+    const PendingFrame& frame = merged[i];
     if (frame.lsn <= after_lsn) {
       ++st.records_skipped_applied;
       continue;
@@ -465,7 +426,9 @@ void AlertLog::open(std::uint64_t count) {
 
 void AlertLog::append(const core::Alert& alert) {
   if (fd_ < 0) throw std::logic_error("AlertLog: append before open");
-  append_frame(pending_, ++count_, encode_alert_payload(alert));
+  wire::append_frame(pending_, kWalFrameMagic, ++count_, [&](std::string& buf) {
+    append_alert_payload(buf, alert);
+  });
 }
 
 void AlertLog::flush() {

@@ -9,17 +9,20 @@
 // checkpoint.hpp) and re-applies the WAL tail through the normal scoring
 // path, which regenerates byte-identical state and alerts.
 //
-// Frame layout (little-endian, fixed-width — the FNV-1a v2 idiom of
-// ml/serialize applied to binary framing):
+// Frames are the common/wire.hpp record frame under the WAL magic:
 //
-//   u32 magic   "MFWL"            resync marker for corruption scanning
+//   u32 magic   "MFW2"            resync marker for corruption scanning
 //   u32 size    payload bytes
 //   u64 lsn     global sequence number
 //   u8  payload[size]
-//   u64 digest  FNV-1a 64 over (size, lsn, payload)
+//   u32 crc     CRC32C over (size, lsn, payload)
+//
+// Builds before this frame version wrote "MFWL" frames with an FNV-1a-64
+// digest; those bytes do not scan as frames here (see DURABILITY.md for
+// why such a directory refuses to resume).
 //
 // Torn-tail semantics (the btrfs-progs discipline): a frame that runs past
-// EOF or fails its digest *with no valid frame after it* is a torn final
+// EOF or fails its checksum *with no valid frame after it* is a torn final
 // write — the tail is discarded (those records were never acknowledged
 // durable; the feed re-delivers them). A corrupt frame *followed by* a
 // valid frame is mid-stream corruption and recovery refuses loudly: state
@@ -34,9 +37,11 @@
 // trading a bounded post-power-loss replay window for throughput.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/online_predictor.hpp"
@@ -45,7 +50,7 @@
 
 namespace mfpa::serve {
 
-inline constexpr std::uint32_t kWalFrameMagic = 0x4C57464DU;  // "MFWL"
+inline constexpr std::uint32_t kWalFrameMagic = 0x3257464DU;  // "MFW2"
 
 /// One durable ingest record: the raw telemetry update plus its LSN.
 struct WalEntry {
@@ -55,43 +60,47 @@ struct WalEntry {
   sim::DailyRecord record;
 };
 
-// --- low-level framing (shared by the WAL, the alert log, and tests) ------
+// --- frame scanning (shared by the WAL, the alert log, and tests) ----------
 
-/// Appends one frame (magic, size, lsn, payload, digest) to `buf`.
-void append_frame(std::string& buf, std::uint64_t lsn,
-                  const std::string& payload);
-
-/// One frame decoded from a byte stream.
+/// One frame of a scanned file. `payload` views FrameScan::bytes.
 struct DecodedFrame {
   std::uint64_t lsn = 0;
-  std::string payload;
-  std::uint64_t digest = 0;       ///< frame digest (used for duplicate checks)
+  std::string_view payload;
   std::size_t end_offset = 0;     ///< byte offset just past this frame
 };
 
-/// Result of scanning one framed file front to back.
+/// Result of scanning one framed file front to back. It owns the file's
+/// bytes and its frames view them; moving a scan keeps the views valid (a
+/// moved std::vector keeps its buffer), copying is not allowed.
 struct FrameScan {
+  std::vector<char> bytes;            ///< the whole file
   std::vector<DecodedFrame> frames;   ///< valid prefix, in file order
   std::size_t valid_bytes = 0;        ///< bytes covered by `frames`
   std::size_t torn_bytes = 0;         ///< discarded torn/trailing garbage
   bool torn_tail = false;             ///< trailing bytes were discarded
+
+  FrameScan() = default;
+  FrameScan(FrameScan&&) = default;
+  FrameScan& operator=(FrameScan&&) = default;
+  FrameScan(const FrameScan&) = delete;
+  FrameScan& operator=(const FrameScan&) = delete;
 };
 
-/// Scans a framed file, returning every frame of the valid prefix. A torn
-/// or corrupt tail is reported in the result; corruption *followed by*
-/// another valid frame throws std::runtime_error (mid-stream corruption —
-/// the file cannot be trusted past the hole, but data after it provably
-/// existed). `what` names the file in diagnostics.
+/// Scans a framed file (WAL segment or alert log), returning every frame of
+/// the valid prefix. A torn or corrupt tail is reported in the result;
+/// corruption *followed by* another valid frame throws std::runtime_error
+/// (mid-stream corruption — the file cannot be trusted past the hole, but
+/// data after it provably existed).
 FrameScan scan_frames(const std::string& path);
 
-/// Serializes / parses the WAL payload for one telemetry record.
-std::string encode_wal_payload(std::uint64_t drive_id, int vendor,
-                               const sim::DailyRecord& record);
-WalEntry decode_wal_payload(std::uint64_t lsn, const std::string& payload);
+/// Appends the WAL payload for one telemetry record to `buf` / parses one.
+void append_wal_payload(std::string& buf, std::uint64_t drive_id, int vendor,
+                        const sim::DailyRecord& record);
+WalEntry decode_wal_payload(std::uint64_t lsn, std::string_view payload);
 
-/// Serializes / parses the alert-log payload for one alert.
-std::string encode_alert_payload(const core::Alert& alert);
-core::Alert decode_alert_payload(const std::string& payload);
+/// Appends / parses the alert-log payload for one alert.
+void append_alert_payload(std::string& buf, const core::Alert& alert);
+core::Alert decode_alert_payload(std::string_view payload);
 
 // --- writer ----------------------------------------------------------------
 
@@ -181,7 +190,7 @@ struct WalRecoveryStats {
 
 /// Reads every WAL segment under `<dir>/wal`, validates frames, and merges
 /// them into the LSN-contiguous tail starting at `after_lsn + 1`. Exact
-/// duplicate frames (same LSN, same digest — segment replayed twice) are
+/// duplicate frames (same LSN, same payload — segment replayed twice) are
 /// dropped; an LSN collision or regression with *different* bytes, and any
 /// mid-stream corruption, throw std::runtime_error with the offending file
 /// and LSN. Records beyond the first LSN gap are discarded (counted): they

@@ -1,17 +1,20 @@
 // Binary ingestion protocol: frame round-trips and the robustness contract
 // — truncated frames wait for more bytes, any corruption (magic, length,
-// digest, body) latches a typed error, and a hostile length field is
+// checksum, body) latches a typed error, and a hostile length field is
 // rejected without any proportional allocation.
 #include "net/protocol.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/wire.hpp"
 #include "ml/checksum.hpp"
+#include "serve/wal.hpp"
 
 namespace mfpa::net {
 namespace {
@@ -125,7 +128,7 @@ TEST(NetProtocol, BitFlipAnywhereIsRejectedByDigest) {
     if (status == FrameDecoder::Status::kNeedMore) {
       // A size-field flip can only enlarge the claimed frame; the decoder
       // rightly waits. Once the claimed bytes arrive (in a live stream,
-      // from the next frame), the digest must reject.
+      // from the next frame), the checksum must reject.
       ASSERT_GE(pos, 4u) << "only the length field may defer detection";
       ASSERT_LT(pos, 8u) << "byte " << pos;
       const std::string filler(kMaxNetPayload, '\0');
@@ -182,7 +185,7 @@ TEST(NetProtocol, JustOverMaxPayloadRejected) {
 
 TEST(NetProtocol, DigestValidFrameWithMalformedBodyIsBadMessage) {
   // A correctly framed record whose payload is truncated mid-field: the
-  // digest passes (it covers what was framed) but the body decode fails.
+  // checksum passes (it covers what was framed) but the body decode fails.
   std::string record_payload;
   record_payload.push_back(static_cast<char>(MessageType::kRecord));
   record_payload += "short";  // nothing like a WAL record payload
@@ -192,9 +195,9 @@ TEST(NetProtocol, DigestValidFrameWithMalformedBodyIsBadMessage) {
   wire::put_u32(buf, static_cast<std::uint32_t>(record_payload.size()));
   wire::put_u64(buf, 9);
   buf += record_payload;
-  const std::uint64_t digest = ml::fnv1a(
+  const std::uint32_t crc = wire::crc32c(
       std::string_view(buf.data() + body_start, buf.size() - body_start));
-  wire::put_u64(buf, digest);
+  wire::put_u32(buf, crc);
 
   FrameDecoder decoder;
   decoder.feed(buf.data(), buf.size());
@@ -213,8 +216,8 @@ TEST(NetProtocol, ControlFrameWithTrailingBytesIsBadMessage) {
   wire::put_u32(buf, static_cast<std::uint32_t>(payload.size()));
   wire::put_u64(buf, 1);
   buf += payload;
-  wire::put_u64(buf, ml::fnv1a(std::string_view(buf.data() + body_start,
-                                                buf.size() - body_start)));
+  wire::put_u32(buf, wire::crc32c(std::string_view(buf.data() + body_start,
+                                                    buf.size() - body_start)));
   FrameDecoder decoder;
   decoder.feed(buf.data(), buf.size());
   NetMessage msg;
@@ -348,8 +351,8 @@ TEST(NetProtocol, TruncatedHelloBodyIsBadMessage) {
   wire::put_u32(buf, static_cast<std::uint32_t>(payload.size()));
   wire::put_u64(buf, 5);
   buf += payload;
-  wire::put_u64(buf, ml::fnv1a(std::string_view(buf.data() + body_start,
-                                                buf.size() - body_start)));
+  wire::put_u32(buf, wire::crc32c(std::string_view(buf.data() + body_start,
+                                                    buf.size() - body_start)));
   FrameDecoder decoder;
   decoder.feed(buf.data(), buf.size());
   NetMessage msg;
@@ -369,6 +372,59 @@ TEST(NetProtocol, BufferCompactionKeepsStreamBounded) {
     ASSERT_EQ(decoder.next(msg), FrameDecoder::Status::kMessage);
     ASSERT_EQ(decoder.buffered_bytes(), 0u);
   }
+}
+
+TEST(NetProtocol, HelloFromOlderBuildIsBadMagic) {
+  // A kHello as builds before the CRC32C frame sent it: magic "MFNP" and an
+  // FNV-1a-64 digest over (size, seq, payload).
+  std::string payload;
+  payload.push_back(static_cast<char>(MessageType::kHello));
+  wire::put_u32(payload, 0);
+  wire::put_u32(payload, 1);
+  wire::put_u32(payload, 0);
+  std::string buf;
+  wire::put_u32(buf, 0x504E464DU);  // "MFNP"
+  wire::put_u32(buf, static_cast<std::uint32_t>(payload.size()));
+  wire::put_u64(buf, 1);
+  buf += payload;
+  wire::put_u64(buf, ml::fnv1a(std::string_view(buf).substr(4)));
+  FrameDecoder decoder;
+  decoder.feed(buf.data(), buf.size());
+  NetMessage msg;
+  EXPECT_EQ(decoder.next(msg), FrameDecoder::Status::kError);
+  EXPECT_EQ(decoder.error(), DecodeError::kBadMagic);
+  EXPECT_STREQ(error_name(decoder.error()), "bad_magic");
+}
+
+TEST(NetProtocol, WalAndNetFramesAreNotInterchangeable) {
+  // A WAL frame fed to the MFNP decoder is refused at its magic...
+  std::string wal;
+  wire::append_frame(wal, serve::kWalFrameMagic, 1, [](std::string& out) {
+    out.push_back(static_cast<char>(MessageType::kRecord));
+    serve::append_wal_payload(out, 77, 0, make_record(3));
+  });
+  FrameDecoder decoder;
+  decoder.feed(wal.data(), wal.size());
+  NetMessage msg;
+  EXPECT_EQ(decoder.next(msg), FrameDecoder::Status::kError);
+  EXPECT_EQ(decoder.error(), DecodeError::kBadMagic);
+
+  // ...and MFNP frames written into a WAL segment are not WAL records.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "mfpa_net_in_wal";
+  fs::remove_all(dir);
+  fs::create_directories(dir / "wal");
+  std::string net;
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    append_record_frame(net, seq, 77, 0, make_record(3));
+  }
+  const std::string segment = (dir / "wal" / "shard-000.c0.wal").string();
+  std::ofstream(segment, std::ios::binary) << net;
+  const serve::FrameScan scan = serve::scan_frames(segment);
+  EXPECT_TRUE(scan.frames.empty());
+  EXPECT_EQ(scan.torn_bytes, net.size());
+  EXPECT_TRUE(serve::recover_wal(dir.string(), 0).empty());
+  fs::remove_all(dir);
 }
 
 }  // namespace

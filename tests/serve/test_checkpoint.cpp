@@ -83,12 +83,14 @@ void put_at(std::string& bytes, std::size_t off, T v) {
   }
 }
 
-// Checkpoint v2 layout (serve/checkpoint.hpp): a 24-byte header, then the
-// payload: lsn u64, alert count u64, model version i32, store image.
-constexpr std::size_t kHeaderBytes = 24;
-constexpr std::size_t kPayloadBytesOffset = 8;
-constexpr std::size_t kDigestOffset = 16;
-constexpr std::size_t kStoreOffset = kHeaderBytes + 8 + 8 + 4;
+// Checkpoint v3 layout (serve/checkpoint.hpp): an 8-byte file header, then
+// one record frame — magic u32, payload size u32, lsn u64, the payload
+// (alert count u64, model version i32, store image) and a CRC32C u32 over
+// everything from the size field to the end of the payload.
+constexpr std::size_t kHeaderBytes = 8 + 16;
+constexpr std::size_t kPayloadBytesOffset = 12;
+constexpr std::size_t kChecksumBytes = 4;
+constexpr std::size_t kStoreOffset = kHeaderBytes + 8 + 4;
 // Store image: three u64 counters, then the u64 drive count.
 constexpr std::size_t kDriveCountOffset = kStoreOffset + 3 * 8;
 // First drive: 37-byte drive header, then its ingestor: the sanitizer (13
@@ -143,15 +145,17 @@ void expect_same_rows(const std::vector<PendingRow>& got,
   }
 }
 
-/// Recomputes the header digest so a doctored payload passes the checksum.
+/// Recomputes the trailing CRC32C so a doctored payload passes the checksum.
 void redigest(std::string& bytes) {
-  put_at<std::uint64_t>(
-      bytes, kDigestOffset,
-      ml::fnv1a(std::string_view(bytes).substr(kHeaderBytes)));
+  const std::size_t end = bytes.size() - kChecksumBytes;
+  put_at<std::uint32_t>(
+      bytes, end,
+      wire::crc32c(std::string_view(bytes).substr(
+          kPayloadBytesOffset, end - kPayloadBytesOffset)));
 }
 
 /// A checkpoint file with its first drive appended a second time. The drive
-/// count, payload length and digest are fixed up, so the file passes every
+/// count, payload length and checksum are fixed up, so the file passes every
 /// file-level check and only the store loader can reject it, after it has
 /// decoded every other drive.
 std::string with_first_drive_duplicated(std::string file) {
@@ -170,9 +174,12 @@ std::string with_first_drive_duplicated(std::string file) {
   wire::ByteReader count(std::string_view(file).substr(kDriveCountOffset),
                          "drive count");
   const std::uint64_t drives = count.u64();
+  file.resize(file.size() - kChecksumBytes);
   file += file.substr(kFirstDrive, drive_bytes);
   put_at<std::uint64_t>(file, kDriveCountOffset, drives + 1);
-  put_at<std::uint64_t>(file, kPayloadBytesOffset, file.size() - kHeaderBytes);
+  put_at<std::uint32_t>(file, kPayloadBytesOffset,
+                        static_cast<std::uint32_t>(file.size() - kHeaderBytes));
+  file.append(kChecksumBytes, '\0');
   redigest(file);
   return file;
 }
@@ -328,6 +335,50 @@ TEST_F(CheckpointTest, TextCheckpointFromOlderBuildIsRefused) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST_F(CheckpointTest, VersionTwoCheckpointFromOlderBuildIsRefused) {
+  // A well-formed v2 file: 24-byte header (magic, version 2, payload length
+  // u64, FNV-1a-64 of the payload), then lsn u64, alert count u64, model
+  // version i32 and the store image. Its digest matches, so only the
+  // version refuses it.
+  DriveStateStore store(store_config());
+  fill_store(store, /*drives=*/2, /*days=*/4);
+  std::string payload;
+  wire::put_u64(payload, 9);
+  wire::put_u64(payload, 0);
+  wire::put_i32(payload, 1);
+  store.save_state(payload);
+  std::string file;
+  wire::put_u32(file, 0x4B43464DU);  // "MFCK"
+  wire::put_u32(file, 2);
+  wire::put_u64(file, payload.size());
+  wire::put_u64(file, ml::fnv1a(payload));
+  file += payload;
+
+  DurabilityManager manager(durability_config());
+  const fs::path path = dir_ / "ckpt" / "ckpt-9.mfc";
+  write_bytes(path, file);
+  try {
+    load_checkpoint_file(path.string());
+    FAIL() << "a version-2 checkpoint loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version 2"),
+              std::string::npos)
+        << e.what();
+  }
+  // A durable directory holding only older checkpoints refuses to resume
+  // instead of starting empty.
+  DriveStateStore restored(store_config());
+  try {
+    manager.recover(restored, 1);
+    FAIL() << "recovery resumed from a version-2 directory";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("no valid checkpoint"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(restored.stats().drives_tracked, 0u);
 }
 
 TEST_F(CheckpointTest, CorruptionSweepAlwaysThrows) {

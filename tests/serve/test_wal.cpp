@@ -6,8 +6,11 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/wire.hpp"
+#include "ml/checksum.hpp"
 #include "obs/metrics.hpp"
 
 namespace mfpa::serve {
@@ -28,6 +31,21 @@ sim::DailyRecord make_record(DayIndex day, float seed) {
     rec.b[i] = static_cast<std::uint16_t>(i * 3);
   }
   return rec;
+}
+
+/// One WAL frame carrying `payload` under `lsn`.
+void append_frame(std::string& buf, std::uint64_t lsn,
+                  std::string_view payload) {
+  wire::append_frame(buf, kWalFrameMagic, lsn,
+                     [payload](std::string& out) { out.append(payload); });
+}
+
+/// The WAL payload of one record.
+std::string encode_wal_payload(std::uint64_t drive_id, int vendor,
+                               const sim::DailyRecord& record) {
+  std::string payload;
+  append_wal_payload(payload, drive_id, vendor, record);
+  return payload;
 }
 
 void write_bytes(const std::string& path, const std::string& bytes) {
@@ -83,7 +101,9 @@ TEST_F(WalTest, AlertPayloadRoundTrips) {
   alert.drive_id = 123456789;
   alert.day = 87;
   alert.score = 0.73125;
-  const core::Alert back = decode_alert_payload(encode_alert_payload(alert));
+  std::string payload;
+  append_alert_payload(payload, alert);
+  const core::Alert back = decode_alert_payload(payload);
   EXPECT_EQ(back.drive_id, alert.drive_id);
   EXPECT_EQ(back.day, alert.day);
   EXPECT_DOUBLE_EQ(back.score, alert.score);
@@ -321,6 +341,42 @@ TEST_F(WalTest, AlertLogShorterThanPinnedCountThrows) {
   log.append({1, 1, 0.6});
   log.flush();
   EXPECT_THROW(recover_alert_log(dir_.string(), 5), std::runtime_error);
+}
+
+/// A frame as builds before the CRC32C frame wrote it: magic "MFWL" and an
+/// FNV-1a-64 digest over (size, lsn, payload).
+std::string old_wal_frame(std::uint64_t lsn, std::string_view payload) {
+  std::string buf;
+  wire::put_u32(buf, 0x4C57464DU);  // "MFWL"
+  wire::put_u32(buf, static_cast<std::uint32_t>(payload.size()));
+  wire::put_u64(buf, lsn);
+  buf.append(payload);
+  wire::put_u64(buf, ml::fnv1a(std::string_view(buf).substr(4)));
+  return buf;
+}
+
+TEST_F(WalTest, FramesFromOlderBuildsAreNotRead) {
+  fs::create_directories(dir_ / "wal");
+  std::string segment;
+  for (std::uint64_t lsn = 1; lsn <= 3; ++lsn) {
+    segment += old_wal_frame(lsn, encode_wal_payload(lsn, 0,
+                                                     make_record(1, 1.0f)));
+  }
+  const std::string path = (dir_ / "wal" / "shard-000.c0.wal").string();
+  write_bytes(path, segment);
+  const FrameScan scan = scan_frames(path);
+  EXPECT_TRUE(scan.frames.empty());
+  EXPECT_TRUE(scan.torn_tail);
+  EXPECT_EQ(scan.torn_bytes, segment.size());
+  EXPECT_TRUE(recover_wal(dir_.string(), 0).empty());
+
+  // An older alert log cannot satisfy a checkpoint's pinned alert count.
+  std::string alerts;
+  std::string payload;
+  append_alert_payload(payload, core::Alert{});
+  alerts += old_wal_frame(1, payload);
+  write_bytes((dir_ / "alerts.log").string(), alerts);
+  EXPECT_THROW(recover_alert_log(dir_.string(), 1), std::runtime_error);
 }
 
 }  // namespace

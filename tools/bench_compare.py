@@ -12,8 +12,9 @@ non-zero, so CI can gate on it. Baselines live in bench/baselines/ and are
 refreshed deliberately with --update after an accepted perf change.
 
 --update MERGES rather than overwrites: the baseline keeps entries for
-benchmarks the new run did not execute (e.g. a filtered re-run). Entries
-the new run does produce always replace their baseline values.
+benchmarks the new run did not execute (e.g. a filtered re-run), together
+with the host `context` they were measured on. Entries the new run does
+produce always replace their baseline values.
 
 Exit codes: 0 ok (or baseline updated), 1 regression, 2 usage/input error.
 """
@@ -84,15 +85,50 @@ def compare(baseline: dict[str, float], current: dict[str, float],
 def merge_for_update(old: dict | None, new: dict) -> dict:
     """The --update document: the new run's `benchmarks` first, then old
     entries whose name the new run lacks (a filtered or partial re-run must
-    not silently drop coverage). A missing or unrecognized old baseline
-    yields the new run verbatim.
+    not silently drop coverage). A missing or unrecognized old baseline, or
+    a run that covers every old entry, yields the new run verbatim.
+
+    When entries are carried over, the document keeps the old `context`
+    (the host those entries were measured on) and each new entry records
+    the new run's host in its own `context`; an entry's host is its own
+    `context` if it has one, else the document's. A filtered run numbers
+    `family_index` from 0, so new families take the old index of the same
+    benchmark name, or the next index no other family uses.
     """
     if old is None or "benchmarks" not in old:
         return new
-    merged = dict(new)
     names = {e.get("name") for e in new["benchmarks"]}
-    merged["benchmarks"] = list(new["benchmarks"]) + [
-        e for e in old["benchmarks"] if e.get("name") not in names]
+    carried = [e for e in old["benchmarks"] if e.get("name") not in names]
+    if not carried:
+        return new
+
+    old_family = {e.get("name"): e["family_index"] for e in old["benchmarks"]
+                  if "family_index" in e}
+    taken = {e["family_index"] for e in carried if "family_index" in e}
+    renumber: dict[int, int] = {}
+    for entry in new["benchmarks"]:
+        index = entry.get("family_index")
+        if index is None or index in renumber:
+            continue
+        if entry.get("name") in old_family:
+            renumber[index] = old_family[entry["name"]]
+            taken.add(renumber[index])
+    for entry in new["benchmarks"]:
+        index = entry.get("family_index")
+        if index is not None and index not in renumber:
+            renumber[index] = max(taken, default=-1) + 1
+            taken.add(renumber[index])
+
+    fresh = []
+    for entry in new["benchmarks"]:
+        entry = dict(entry)
+        if "family_index" in entry:
+            entry["family_index"] = renumber[entry["family_index"]]
+        if "context" in new:
+            entry.setdefault("context", new["context"])
+        fresh.append(entry)
+    merged = dict(old)
+    merged["benchmarks"] = fresh + carried
     return merged
 
 

@@ -116,6 +116,49 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(  # carried over from the old baseline
             by_name["BM_FlatForestPredictRF/flat:1"]["real_time"], 7000000.0)
 
+    def test_partial_update_keeps_old_context_and_unique_families(self):
+        # The baseline was recorded on one host; a filtered run on another
+        # host re-measures one family and adds a new one, numbering both
+        # from 0.
+        old = {
+            "context": {"host_name": "old", "num_cpus": 1},
+            "benchmarks": [
+                {"name": "BM_A/1", "family_index": 0, "real_time": 10.0},
+                {"name": "BM_A/2", "family_index": 0, "real_time": 20.0},
+                {"name": "BM_B", "family_index": 1, "real_time": 30.0},
+                {"name": "BM_C", "family_index": 2, "real_time": 40.0},
+            ],
+        }
+        new = {
+            "context": {"host_name": "new", "num_cpus": 4},
+            "benchmarks": [
+                {"name": "BM_New", "family_index": 0, "real_time": 5.0},
+                {"name": "BM_B", "family_index": 1, "real_time": 25.0},
+            ],
+        }
+        base = self.write("base.json", old)
+        cur = self.write("cur.json", new)
+        self.assertEqual(self.run_main(base, cur, "--update"), 0)
+        with open(base, encoding="utf-8") as fh:
+            merged = json.load(fh)
+        self.assertEqual(merged["context"], old["context"])
+        by_name = {e["name"]: e for e in merged["benchmarks"]}
+        self.assertEqual(by_name["BM_B"]["family_index"], 1)
+        self.assertEqual(by_name["BM_B"]["real_time"], 25.0)
+        self.assertEqual(by_name["BM_New"]["family_index"], 3)
+        for name in ("BM_B", "BM_New"):
+            self.assertEqual(by_name[name]["context"], new["context"])
+        for name in ("BM_A/1", "BM_A/2", "BM_C"):
+            self.assertNotIn("context", by_name[name])
+            self.assertEqual(by_name[name], next(
+                e for e in old["benchmarks"] if e["name"] == name))
+        # One family_index per family, none shared between families.
+        families = {}
+        for entry in merged["benchmarks"]:
+            families.setdefault(entry["family_index"], set()).add(
+                entry["name"].split("/")[0])
+        self.assertTrue(all(len(f) == 1 for f in families.values()))
+
     def test_update_without_existing_baseline_takes_current(self):
         cur = self.write("cur.json", GBENCH)
         base = os.path.join(self.dir.name, "new_base.json")
